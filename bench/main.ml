@@ -876,12 +876,11 @@ let experiment_analysis_cache () =
 
 (* ---------------------------------------------------------- NORMALIZE *)
 
-(* Normalization + closure engine v2 (BENCH_normalize.json):
+(* Normalization + the closure engine (BENCH_normalize.json):
 
-   1. closure engines — the paper workload analyzed with the sweep
-      fixpoint vs the counter-based linear engine; the linear engine must
-      do strictly fewer recorded iterations (one per closure call instead
-      of one per re-scan);
+   1. closure work — the paper workload analyzed by both analyzers with
+      the closure memo off, timed, with the closure calls and iterations
+      the one saturation engine records (one iteration per call);
    2. conjunct counts — a predicate with shared atoms, conversion counts
       with and without the interning/dedup/subsumption the engine applies
       (the "without" figure is the raw distribution product the old
@@ -913,26 +912,15 @@ let experiment_normalize () =
         ignore (Uniqueness.Fd_analysis.distinct_is_redundant cat q))
       work
   in
-  let run_engine engine =
-    Cache.Runtime.set_engine engine;
-    Cache.Counters.reset ();
-    pass ();
-    let c = Cache.Counters.snapshot () in
-    let t = median ~repeats:5 pass in
-    (c, t)
-  in
-  let sweep_c, sweep_t = run_engine `Sweep in
-  let linear_c, linear_t = run_engine `Linear in
-  Cache.Runtime.set_engine `Linear;
-  assert (linear_c.Cache.Counters.iterations < sweep_c.Cache.Counters.iterations);
+  Cache.Counters.reset ();
+  pass ();
+  let closure_c = Cache.Counters.snapshot () in
+  let closure_t = median ~repeats:5 pass in
   Printf.printf "%d queries, both analyzers, closure memo off\n\n"
     (List.length work);
-  Printf.printf "%-8s %14s %14s %12s\n" "engine" "closure calls" "iterations"
-    "median ms";
-  Printf.printf "%-8s %14d %14d %12.2f\n" "sweep" sweep_c.Cache.Counters.calls
-    sweep_c.Cache.Counters.iterations sweep_t.median_ms;
-  Printf.printf "%-8s %14d %14d %12.2f\n" "linear" linear_c.Cache.Counters.calls
-    linear_c.Cache.Counters.iterations linear_t.median_ms;
+  Printf.printf "%14s %14s %12s\n" "closure calls" "iterations" "median ms";
+  Printf.printf "%14d %14d %12.2f\n" closure_c.Cache.Counters.calls
+    closure_c.Cache.Counters.iterations closure_t.median_ms;
   (* conjunct counts: OR of [width] two-literal conjunctions (and the dual
      AND of two-literal disjunctions) whose atoms repeat from a small pool;
      raw distribution is 2^width clauses, the engine's set-dedup +
@@ -1015,24 +1003,15 @@ let experiment_normalize () =
         (width, t, budget_node, maybe))
       [ 15; 18; 21 ]
   in
-  let engine_json (c : Cache.Counters.snapshot) (t : timing) =
-    Trace.Json.Obj
-      [ ("calls", Trace.Json.Int c.Cache.Counters.calls);
-        ("iterations", Trace.Json.Int c.Cache.Counters.iterations);
-        ("median_ms", Trace.Json.Float t.median_ms);
-        ("spread_ms", Trace.Json.Float t.spread_ms) ]
-  in
   let json =
     bench_json ~bench:"normalize" ~row_scale:0
       [ ( "workload",
           Trace.Json.Obj
             [ ("queries", Trace.Json.Int (List.length work));
-              ("sweep", engine_json sweep_c sweep_t);
-              ("linear", engine_json linear_c linear_t);
-              ( "linear_strictly_fewer_iterations",
-                Trace.Json.Bool
-                  (linear_c.Cache.Counters.iterations
-                   < sweep_c.Cache.Counters.iterations) ) ] );
+              ("calls", Trace.Json.Int closure_c.Cache.Counters.calls);
+              ("iterations", Trace.Json.Int closure_c.Cache.Counters.iterations);
+              ("median_ms", Trace.Json.Float closure_t.median_ms);
+              ("spread_ms", Trace.Json.Float closure_t.spread_ms) ] );
         ( "conjunct_counts",
           Trace.Json.Obj
             [ ("width", Trace.Json.Int width);
@@ -1081,8 +1060,7 @@ let experiment_normalize () =
    queries whose fingerprints are distinct (sustained miss + insert
    traffic). Each pass runs as one cache epoch — the work-stealing pool
    reads frozen shared tables lock-free and per-domain deltas merge at
-   the barrier — so the contention column measures residual lock traffic
-   only (expected 0). Speedup is bounded by the machine: the JSON records
+   the barrier. Speedup is bounded by the machine: the JSON records
    Domain.recommended_domain_count so a single-core reading (speedup ~1x,
    pure pool overhead) is distinguishable from a multi-core one. *)
 let experiment_parallel () =
@@ -1120,67 +1098,58 @@ let experiment_parallel () =
     ignore (Uniqueness.Rewrite.apply_all ~cache cat q)
   in
   let run_at jobs =
-    let shards = if jobs > 1 then 16 else 1 in
-    Cache.Mode.set_parallel (jobs > 1);
-    Cache.Runtime.set_shards shards;
-    let cache = Analysis_cache.create ~capacity:4096 ~shards () in
+    let cache = Analysis_cache.create ~capacity:4096 () in
     let cold () =
       Cache.Runtime.clear ();
       Analysis_cache.clear cache
     in
-    let r =
-      Cache.Runtime.with_enabled true @@ fun () ->
-      Parallel.Pool.with_pool ~jobs @@ fun pool ->
-      (* the serving pipeline's shape: one cache epoch per batch, so the
-         pass runs against frozen shared tables with zero lock traffic
-         and merges per-domain deltas at the barrier *)
-      let pass () =
-        Analysis_cache.epoch cache (fun () ->
-            Parallel.Pool.map pool (analyze cache) work)
-        |> ignore
-      in
-      (* every timed pass analyzes from cold, so the domains split real
-         closure and verdict work, not pure cache hits *)
-      let t =
-        median ~repeats:5 (fun () ->
-            cold ();
-            pass ())
-      in
-      (* one more cold pass with fresh counters for the deterministic
-         hit/miss/contention figures *)
-      cold ();
-      Analysis_cache.reset_counters cache;
-      pass ();
-      (t, Analysis_cache.counters cache, Analysis_cache.contention cache,
-       Analysis_cache.shard_counters cache)
+    Cache.Runtime.with_enabled true @@ fun () ->
+    Parallel.Pool.with_pool ~jobs @@ fun pool ->
+    (* the serving pipeline's shape: one cache epoch per batch, so the
+       pass runs against frozen shared tables with zero lock traffic
+       and merges per-domain deltas at the barrier *)
+    let pass () =
+      Analysis_cache.epoch cache (fun () ->
+          Parallel.Pool.map pool (analyze cache) work)
+      |> ignore
     in
-    Cache.Mode.set_parallel false;
-    Cache.Runtime.set_shards 1;
-    r
+    (* every timed pass analyzes from cold, so the domains split real
+       closure and verdict work, not pure cache hits *)
+    let t =
+      median ~repeats:5 (fun () ->
+          cold ();
+          pass ())
+    in
+    (* one more cold pass with fresh counters for the deterministic
+       hit/miss figures *)
+    cold ();
+    Analysis_cache.reset_counters cache;
+    pass ();
+    (t, Analysis_cache.counters cache)
   in
   let levels = [ 1; 2; 4 ] in
   let results = List.map (fun jobs -> (jobs, run_at jobs)) levels in
   let base_ms =
-    match results with (_, (t, _, _, _)) :: _ -> t.median_ms | [] -> nan
+    match results with (_, (t, _)) :: _ -> t.median_ms | [] -> nan
   in
   Printf.printf
     "%d replicas x (%d shared statements + 4 distinct random queries) = %d \
      queries per cold pass, 5 passes\n\n"
     replicate (List.length statements) (List.length work);
-  Printf.printf "%6s | %10s %10s | %8s | %10s %10s %10s\n" "jobs" "median ms"
-    "spread" "speedup" "hits" "misses" "contention";
+  Printf.printf "%6s | %10s %10s | %8s | %10s %10s\n" "jobs" "median ms"
+    "spread" "speedup" "hits" "misses";
   List.iter
-    (fun (jobs, (t, (k : Cache.Lru.counters), contention, _)) ->
-      Printf.printf "%6d | %10.2f %10.2f | %7.2fx | %10d %10d %10d\n" jobs
+    (fun (jobs, (t, (k : Cache.Lru.counters))) ->
+      Printf.printf "%6d | %10.2f %10.2f | %7.2fx | %10d %10d\n" jobs
         t.median_ms t.spread_ms
         (base_ms /. max 1e-9 t.median_ms)
-        k.Cache.Lru.c_hits k.Cache.Lru.c_misses contention)
+        k.Cache.Lru.c_hits k.Cache.Lru.c_misses)
     results;
   let cores = Domain.recommended_domain_count () in
   Printf.printf "\nrecommended_domain_count: %d%s\n" cores
     (if cores = 1 then " (single-core host: parallel rows measure pool overhead)"
      else "");
-  let level_json (jobs, (t, (k : Cache.Lru.counters), contention, per_shard)) =
+  let level_json (jobs, (t, (k : Cache.Lru.counters))) =
     Trace.Json.Obj
       [ ("jobs", Trace.Json.Int jobs);
         ("median_ms", Trace.Json.Float t.median_ms);
@@ -1191,19 +1160,7 @@ let experiment_parallel () =
             [ ("hits", Trace.Json.Int k.Cache.Lru.c_hits);
               ("misses", Trace.Json.Int k.Cache.Lru.c_misses);
               ("evictions", Trace.Json.Int k.Cache.Lru.c_evictions);
-              ("entries", Trace.Json.Int k.Cache.Lru.c_length);
-              ("contention", Trace.Json.Int contention) ] );
-        ( "shards",
-          Trace.Json.List
-            (Array.to_list
-               (Array.mapi
-                  (fun i (s : Cache.Sharded.shard_counters) ->
-                    Trace.Json.Obj
-                      [ ("shard", Trace.Json.Int i);
-                        ("hits", Trace.Json.Int s.Cache.Sharded.s_counters.Cache.Lru.c_hits);
-                        ("misses", Trace.Json.Int s.Cache.Sharded.s_counters.Cache.Lru.c_misses);
-                        ("contention", Trace.Json.Int s.Cache.Sharded.s_contention) ])
-                  per_shard))) ]
+              ("entries", Trace.Json.Int k.Cache.Lru.c_length) ] ) ]
   in
   let json =
     bench_json ~bench:"parallel" ~row_scale:0
@@ -1341,27 +1298,19 @@ let experiment_serve () =
     (total, seconds, float_of_int total /. max 1e-9 seconds)
   in
   let run_level jobs =
-    let shards = if jobs > 1 then 16 else 1 in
-    Cache.Mode.set_parallel (jobs > 1);
-    Cache.Runtime.set_shards shards;
     Cache.Runtime.clear ();
-    let cache = Analysis_cache.create ~capacity:65_536 ~shards () in
-    let r =
-      Cache.Runtime.with_enabled true @@ fun () ->
-      Parallel.Pool.with_pool ~jobs @@ fun pool ->
-      let hist = Engine.Histogram.create () in
-      let traj = ref [] in
-      let cold = run_phase pool cache hist traj "cold" cold_items in
-      let warm = run_phase pool cache hist traj "warm" warm_items in
-      ( cold,
-        warm,
-        Engine.Histogram.summary hist,
-        List.rev !traj,
-        Parallel.Pool.stats pool )
-    in
-    Cache.Mode.set_parallel false;
-    Cache.Runtime.set_shards 1;
-    r
+    let cache = Analysis_cache.create ~capacity:65_536 () in
+    Cache.Runtime.with_enabled true @@ fun () ->
+    Parallel.Pool.with_pool ~jobs @@ fun pool ->
+    let hist = Engine.Histogram.create () in
+    let traj = ref [] in
+    let cold = run_phase pool cache hist traj "cold" cold_items in
+    let warm = run_phase pool cache hist traj "warm" warm_items in
+    ( cold,
+      warm,
+      Engine.Histogram.summary hist,
+      List.rev !traj,
+      Parallel.Pool.stats pool )
   in
   let levels = [ 1; 2; 4 ] in
   let results = List.map (fun jobs -> (jobs, run_level jobs)) levels in
@@ -1408,18 +1357,13 @@ let experiment_serve () =
         | [] -> nan
       in
       let pool_per_task_us jobs =
-        Cache.Mode.set_parallel (jobs > 1);
-        let r =
-          Parallel.Pool.with_pool ~jobs @@ fun pool ->
-          let xs = List.init 10_000 Fun.id in
-          let ms =
-            measure_ms ~repeats:5 (fun () ->
-                ignore (Parallel.Pool.map pool Fun.id xs))
-          in
-          ms *. 1000. /. 10_000.
+        Parallel.Pool.with_pool ~jobs @@ fun pool ->
+        let xs = List.init 10_000 Fun.id in
+        let ms =
+          measure_ms ~repeats:5 (fun () ->
+              ignore (Parallel.Pool.map pool Fun.id xs))
         in
-        Cache.Mode.set_parallel false;
-        r
+        ms *. 1000. /. 10_000.
       in
       let seq_task = pool_per_task_us 1 in
       let par_task = pool_per_task_us 4 in

@@ -81,19 +81,11 @@ let jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Worker domains for the analysis pipeline. 1 (the default) \
-                 is the historical sequential path — no domain is spawned, \
-                 no lock is taken. Output is byte-identical at any value \
+                 is the sequential path — no domain is spawned. Output is \
+                 byte-identical at any value \
                  (cache counters excepted, which depend on scheduling).")
 
-(* Flip the cache layer into its sharded, mutex-protected mode. Must run
-   before any worker domain exists; with jobs = 1 nothing changes and every
-   cache keeps its lock-free single-domain fast path. *)
-let setup_parallel jobs =
-  if jobs < 1 then failwith "--jobs must be >= 1";
-  if jobs > 1 then begin
-    Cache.Mode.set_parallel true;
-    Cache.Runtime.set_shards 16
-  end
+let check_jobs jobs = if jobs < 1 then failwith "--jobs must be >= 1"
 
 let strict_arg =
   Arg.(value & flag
@@ -501,7 +493,7 @@ let fuzz_cmd =
   let run seed count instances rows cells no_shrink save replay use_cache
       nested_or oracles jobs =
     wrap (fun () ->
-        setup_parallel jobs;
+        check_jobs jobs;
         match replay with
         | Some path ->
           let case = Difftest.Case.load path in
@@ -582,11 +574,10 @@ let batch_cmd =
   in
   let run ddl views capacity jobs files =
     wrap (fun () ->
-        setup_parallel jobs;
+        check_jobs jobs;
         let cat = catalog_of_ddl ddl views in
         let cache =
-          Analysis_cache.create ~capacity
-            ~shards:(if jobs > 1 then 16 else 1) ()
+          Analysis_cache.create ~capacity ()
         in
         Cache.Runtime.with_enabled true (fun () ->
             (* One cache epoch per file pass: within a pass the shared
@@ -616,7 +607,7 @@ let batch_cmd =
        ~doc:"Analyze and rewrite many queries through one shared analysis \
              cache (verdict memo + closure memo); prints the cache counters \
              at the end. With --jobs N the queries are analyzed on N domains \
-             sharing the (sharded) cache; the replies still print in order.")
+             sharing the cache; the replies still print in order.")
     Term.(const run $ ddl_arg $ view_arg $ capacity_arg $ jobs_arg $ files_arg)
 
 let socket_arg =
@@ -650,11 +641,10 @@ let max_batch_arg =
 let serve_cmd =
   let run ddl views capacity jobs socket stdin_too max_inflight max_batch =
     wrap (fun () ->
-        setup_parallel jobs;
+        check_jobs jobs;
         let cat = catalog_of_ddl ddl views in
         let cache =
-          Analysis_cache.create ~capacity
-            ~shards:(if jobs > 1 then 16 else 1) ()
+          Analysis_cache.create ~capacity ()
         in
         let stop = Atomic.make false in
         let on_signal _ = Atomic.set stop true in

@@ -205,28 +205,24 @@ module Fingerprint = struct
     tag ^ "#" ^ schema_digest cat ^ "#" ^ body
 end
 
-(* One shard (the default) is byte-for-byte the historical unsharded LRU;
-   the parallel CLI modes create the cache with more shards so worker
-   domains hit different locks — though under the epoch discipline those
-   locks are only taken at merge time, never on the query path. *)
+(* A plain LRU: worker domains reach it only inside {!epoch}, where it is
+   frozen and read through [Lru.peek]. *)
 type t = {
-  verdicts : (string, bool) Cache.Sharded.t;
+  verdicts : (string, bool) Cache.Lru.t;
   epoch_slot : (string, bool) Cache.Epoch.slot;
 }
 
 let default_capacity = 1024
-let create ?(capacity = default_capacity) ?shards () =
+let create ?(capacity = default_capacity) () =
   {
-    verdicts = Cache.Sharded.create ?shards ~capacity ();
+    verdicts = Cache.Lru.create ~capacity;
     epoch_slot = Cache.Epoch.make_slot ();
   }
 
-let counters t = Cache.Sharded.counters t.verdicts
-let contention t = Cache.Sharded.contention t.verdicts
-let shard_counters t = Cache.Sharded.shard_counters t.verdicts
-let reset_counters t = Cache.Sharded.reset_counters t.verdicts
-let clear t = Cache.Sharded.clear t.verdicts
-let length t = Cache.Sharded.length t.verdicts
+let counters t = Cache.Lru.counters t.verdicts
+let reset_counters t = Cache.Lru.reset_counters t.verdicts
+let clear t = Cache.Lru.clear t.verdicts
+let length t = Cache.Lru.length t.verdicts
 
 let hit_node key verdict =
   Trace.node ~rule:"cache.hit"
@@ -237,12 +233,12 @@ let hit_node key verdict =
 
 let lookup t key =
   if Cache.Epoch.active () then
-    Cache.Epoch.find t.epoch_slot ~peek:(Cache.Sharded.peek t.verdicts) key
-  else Cache.Sharded.find t.verdicts key
+    Cache.Epoch.find t.epoch_slot ~peek:(Cache.Lru.peek t.verdicts) key
+  else Cache.Lru.find t.verdicts key
 
 let store t key v =
   if Cache.Epoch.active () then Cache.Epoch.store t.epoch_slot key v
-  else Cache.Sharded.add t.verdicts key v
+  else Cache.Lru.add t.verdicts key v
 
 let cached_verdict t ~tag ?(trace = Trace.disabled) ~run cat q =
   let key = Fingerprint.query_key ~tag cat q in
@@ -263,22 +259,11 @@ let cached_verdict t ~tag ?(trace = Trace.disabled) ~run cat q =
 
 let merge_epoch t =
   let d = Cache.Epoch.drain t.epoch_slot in
-  List.iter (fun (k, v) -> Cache.Sharded.add t.verdicts k v) d.Cache.Epoch.pairs;
-  Cache.Sharded.add_counters t.verdicts ~hits:d.Cache.Epoch.hits
+  List.iter (fun (k, v) -> Cache.Lru.add t.verdicts k v) d.Cache.Epoch.pairs;
+  Cache.Lru.add_counters t.verdicts ~hits:d.Cache.Epoch.hits
     ~misses:d.Cache.Epoch.misses
 
-(* The single entry point for epoch-scoped parallel analysis: freeze the
-   caches, run [f] (typically a [Pool.map] batch), then — back on the
-   sole running domain — merge the verdict and closure deltas in sorted
-   key order and unfreeze. Nested calls flatten into the outer epoch. *)
-let epoch t f =
-  if Cache.Epoch.active () then f ()
-  else begin
-    Cache.Epoch.enter ();
-    Fun.protect
-      ~finally:(fun () ->
-        merge_epoch t;
-        Cache.Runtime.merge_epoch ();
-        Cache.Epoch.leave ())
-      f
-  end
+(* The single entry point for epoch-scoped parallel analysis: the closure
+   memo's epoch, with this cache's verdict delta merged at the barrier
+   too. *)
+let epoch t f = Cache.Runtime.epoch ~merge:(fun () -> merge_epoch t) f

@@ -32,13 +32,12 @@ module Fingerprint : sig
   val query_key : tag:string -> Catalog.t -> Sql.Ast.query_spec -> string
 end
 
-(** A verdict cache; share one per batch/serve session. Domain-safe when
-    created with [?shards > 1] {e and} {!Cache.Mode.parallel} is on (the
-    parallel CLI modes arrange both); the default single shard with the
-    mode off is the historical single-domain behaviour, lock-free. *)
+(** A verdict cache; share one per batch/serve session. Worker domains
+    may use it only inside {!epoch}; outside an epoch it is a plain
+    single-domain LRU. *)
 type t
 
-val create : ?capacity:int -> ?shards:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 
 (** [cached_verdict t ~tag ?trace ~run cat q] — the verdict for [q],
     served from cache when present. On a miss, [run ()] computes and the
@@ -62,18 +61,12 @@ val cached_verdict :
     sorted key order with deterministic hit/miss accounting. Counters and
     cache contents after the epoch are identical at any [--jobs] for the
     same workload. Nested calls flatten into the outer epoch; [jobs = 1]
-    callers may use it unconditionally (same answers, same counters). *)
+    callers may use it unconditionally (same answers, same counters).
+    Built on {!Cache.Runtime.epoch}. *)
 val epoch : t -> (unit -> 'a) -> 'a
 
-(** Hit/miss/eviction counters since creation (or {!reset_counters}),
-    aggregated over shards. *)
+(** Hit/miss/eviction counters since creation (or {!reset_counters}). *)
 val counters : t -> Cache.Lru.counters
-
-(** Total mutex-contention events over all shards (always 0 single-domain). *)
-val contention : t -> int
-
-(** Per-shard counters, for the [PARALLEL] benchmark. *)
-val shard_counters : t -> Cache.Sharded.shard_counters array
 
 val reset_counters : t -> unit
 

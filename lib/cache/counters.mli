@@ -1,15 +1,11 @@
 (** Process-wide closure-work counters.
 
     Every attribute-closure computation ({!Fd.Fdset.closure},
-    {!Logic.Equalities.closure}) records one {e call} and one {e iteration}
-    per pass over its dependency structure: the linear worklist engine
-    ({!Runtime.saturate_linear}) and the union-find equality closure make
-    exactly one pass per call, while the sweep baselines (the traced direct
-    loops and {!Runtime.saturate_sweep}) record one per re-scan of the
-    dependency list — which is how the [NORMALIZE] benchmark shows the
-    linear engine doing strictly fewer iterations on identical inputs. A
-    closure answered from the {!Runtime} memo records a {e memo hit} and no
-    iterations. The [ANALYSIS_CACHE] benchmark proves cache effectiveness
+    {!Logic.Equalities.closure}) records one {e call}, and every run of the
+    linear worklist engine ({!Runtime.saturate}) one {e iteration} — its
+    single pass over the dependency structure. A closure answered from
+    the {!Runtime} memo records a {e memo hit} and no iterations. The
+    [ANALYSIS_CACHE] benchmark proves cache effectiveness
     with these counters — warm passes must do strictly fewer iterations
     than cold ones — because iteration counts, unlike wall-clock times, are
     deterministic and diff cleanly across runs. *)

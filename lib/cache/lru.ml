@@ -61,10 +61,6 @@ let find t k =
     end;
     Some e.value
 
-(* Peek without touching recency or the hit/miss counters (tests and
-   invariants only). *)
-let mem t k = Hashtbl.mem t.table k
-
 (* Value lookup that touches neither recency nor counters: the epoch
    layer reads frozen tables through this (lock-free — a plain Hashtbl
    read is safe exactly because nothing mutates during an epoch), and

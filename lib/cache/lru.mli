@@ -23,9 +23,6 @@ val create : capacity:int -> ('k, 'v) t
 (** Lookup; marks the entry most-recently-used and counts a hit or miss. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
-(** Presence test that touches neither recency nor the counters. *)
-val mem : ('k, 'v) t -> 'k -> bool
-
 (** Value lookup that touches neither recency nor the counters. The epoch
     layer ({!Epoch}) reads frozen tables through this and accounts the
     hits/misses itself with {!add_counters} at the merge. *)

@@ -5,10 +5,10 @@
    and the benchmark turn it on, and the difftest fuzzer toggles it both
    ways to prove it invisible.
 
-   The table is a {!Sharded} LRU: one shard by default (bit-identical to
-   the historical unsharded behaviour for [--jobs 1]), re-built with
-   [set_shards] when a CLI mode spins up a domain pool. The enable flag is
-   atomic so worker domains read it coherently. *)
+   The table is a plain {!Lru}. Worker domains touch it only inside an
+   epoch (see {!epoch}), where it is frozen and read through [Lru.peek];
+   outside an epoch only one domain runs. The enable flag is atomic so
+   worker domains read it coherently. *)
 
 let flag = Atomic.make false
 let enabled () = Atomic.get flag
@@ -19,48 +19,41 @@ let with_enabled b f =
   Atomic.set flag b;
   Fun.protect ~finally:(fun () -> Atomic.set flag saved) f
 
-let default_capacity = 4096
-let capacity = ref default_capacity
-let shards = ref 1
+let capacity = 4096
+let table : (string, Bitset.t) Lru.t ref = ref (Lru.create ~capacity)
+let clear () = table := Lru.create ~capacity
 
-let table : (string, Bitset.t) Sharded.t ref =
-  ref (Sharded.create ~capacity:default_capacity ())
-
-let rebuild () =
-  table := Sharded.create ~shards:!shards ~capacity:!capacity ()
-
-let set_capacity n =
-  capacity := n;
-  rebuild ()
-
-let set_shards n =
-  shards := n;
-  rebuild ()
-
-let shard_count () = Sharded.shard_count !table
-
-let clear () = rebuild ()
-
-(* During an epoch the global table is frozen: lookups peek it lock-free
-   and new closures land in the domain-local delta, merged (sorted by
-   key, deterministically accounted) by [merge_epoch] at the barrier. *)
+(* During an epoch the table is frozen: lookups peek it lock-free and new
+   closures land in the domain-local delta, merged (sorted by key,
+   deterministically accounted) by [merge_epoch] at the barrier. *)
 let epoch_slot : (string, Bitset.t) Epoch.slot = Epoch.make_slot ()
 
 let find_closure key =
-  if Epoch.active () then Epoch.find epoch_slot ~peek:(Sharded.peek !table) key
-  else Sharded.find !table key
+  if Epoch.active () then Epoch.find epoch_slot ~peek:(Lru.peek !table) key
+  else Lru.find !table key
 
 let store_closure key v =
   if Epoch.active () then Epoch.store epoch_slot key v
-  else Sharded.add !table key v
+  else Lru.add !table key v
 
 let merge_epoch () =
   let d = Epoch.drain epoch_slot in
-  List.iter (fun (k, v) -> Sharded.add !table k v) d.Epoch.pairs;
-  Sharded.add_counters !table ~hits:d.Epoch.hits ~misses:d.Epoch.misses
-let counters () = Sharded.counters !table
-let contention () = Sharded.contention !table
-let shard_counters () = Sharded.shard_counters !table
+  List.iter (fun (k, v) -> Lru.add !table k v) d.Epoch.pairs;
+  Lru.add_counters !table ~hits:d.Epoch.hits ~misses:d.Epoch.misses
+
+let counters () = Lru.counters !table
+
+let epoch ?(merge = ignore) f =
+  if Epoch.active () then f ()
+  else begin
+    Epoch.enter ();
+    Fun.protect
+      ~finally:(fun () ->
+        merge ();
+        merge_epoch ();
+        Epoch.leave ())
+      f
+  end
 
 (* Canonical key: a tag byte distinguishing the client (FD closure vs
    equality closure), the seed set, then the dependency pairs sorted — the
@@ -88,33 +81,14 @@ let closure_key ~tag ~(seed : Bitset.t) (pairs : (Bitset.t * Bitset.t) list) =
     (List.sort_uniq String.compare serialized);
   Buffer.contents buf
 
-(* Quadratic sweep baseline: re-scan the whole pair list until a sweep adds
-   nothing. One iteration is counted per sweep. Kept (a) as the differential
-   oracle the linear engine is property-tested against and (b) as the
-   "before" side of the NORMALIZE benchmark. *)
-let saturate_sweep pairs seed =
-  let cur = ref seed in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Counters.record_iteration ();
-    List.iter
-      (fun (lhs, rhs) ->
-        if Bitset.subset lhs !cur && not (Bitset.subset rhs !cur) then begin
-          cur := Bitset.union rhs !cur;
-          changed := true
-        end)
-      pairs
-  done;
-  !cur
-
 (* Counter-based linear closure (Beeri–Bernstein): each pair keeps a count
    of its lhs attributes not yet in the accumulator and a worklist carries
    newly-acquired attributes to the pairs watching them, so every pair and
-   every attribute is touched O(1) times instead of once per sweep. Counts
-   one iteration per call — the single pass over the dependency structure —
-   so the benchmark's sweep-vs-linear comparison stays deterministic. *)
-let saturate_linear pairs seed =
+   every attribute is touched O(1) times. Counts one iteration per call —
+   the single pass over the dependency structure. [on_fire i added] hears
+   every firing that acquires something: the index of the pair in [pairs]
+   and the attributes it added. *)
+let saturate ?on_fire pairs seed =
   Counters.record_iteration ();
   let pairs = Array.of_list pairs in
   let n = Array.length pairs in
@@ -128,6 +102,7 @@ let saturate_linear pairs seed =
     let added = Bitset.diff rhs !cur in
     if not (Bitset.is_empty added) then begin
       cur := Bitset.union rhs !cur;
+      Option.iter (fun f -> f i added) on_fire;
       Bitset.fold (fun a () -> Queue.add a queue) added ()
     end
   in
@@ -160,19 +135,7 @@ let saturate_linear pairs seed =
   done;
   !cur
 
-(* The engine switch exists for the NORMALIZE benchmark (and differential
-   tests): flip to [`Sweep] to measure the quadratic baseline on identical
-   inputs. Everything ships on [`Linear]. *)
-let engine : [ `Linear | `Sweep ] Atomic.t = Atomic.make `Linear
-let set_engine e = Atomic.set engine e
-let current_engine () = Atomic.get engine
-
-let saturate pairs seed =
-  match Atomic.get engine with
-  | `Linear -> saturate_linear pairs seed
-  | `Sweep -> saturate_sweep pairs seed
-
-(* Two domains that miss on the same key concurrently both compute and
+(* Two domains that miss on the same key in one epoch both compute and
    both store — the results are equal (saturation is deterministic), so
    the duplicate work is the only cost, surfacing as extra misses in the
    counters rather than as any observable difference in answers. *)

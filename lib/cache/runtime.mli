@@ -1,12 +1,16 @@
-(** The process-global closure memo.
+(** The process-global closure memo and the one saturation engine.
 
-    {!Fd.Fdset.closure} and {!Logic.Equalities.closure} consult this table
-    when it is enabled: a closure already computed for the same
-    (seed, dependencies) pair is returned without running the saturation
-    loop at all. The memo is keyed on interned bitset serializations
-    ({!closure_key}), LRU-bounded, and {e off by default} — analyses are
-    bit-for-bit identical with it on or off (fuzz-tested), it only skips
-    recomputation.
+    {!Fd.Fdset.closure}, {!Logic.Equalities.closure} and the order
+    dependencies all compute their closures with {!saturate}, through
+    {!Dependency_closure}. Untraced closures consult this memo when it is
+    enabled: a closure already computed for the same (seed, dependencies)
+    pair is returned without running the saturation at all. The memo is
+    keyed on interned bitset serializations ({!closure_key}), LRU-bounded,
+    and {e off by default} — analyses are bit-for-bit identical with it on
+    or off (fuzz-tested), it only skips recomputation.
+
+    Concurrency: worker domains touch the memo only inside an {!epoch}.
+    Outside one, a single domain runs and the table is a plain {!Lru}.
 
     Use {!with_enabled} to scope the toggle; the batch/serve CLI modes and
     the [ANALYSIS_CACHE] benchmark enable it for their whole run. *)
@@ -18,43 +22,21 @@ val set_enabled : bool -> unit
     the previous state afterwards (exception-safe). *)
 val with_enabled : bool -> (unit -> 'a) -> 'a
 
-(** Replace the table with an empty one of the given capacity. *)
-val set_capacity : int -> unit
-
-(** Replace the table with an empty one of [n] shards (rounded up to a
-    power of two). One shard — the default — reproduces the historical
-    unsharded behaviour exactly; the CLI raises this before spinning up a
-    domain pool so that worker domains hit different locks. *)
-val set_shards : int -> unit
-
-val shard_count : unit -> int
-
 (** Drop all memoized closures (e.g. between benchmark passes). *)
 val clear : unit -> unit
 
-(** Lookup/store in the memo table. While an {!Epoch} is active, lookups
-    peek the frozen table lock-free (falling back to the domain-local
-    delta) and stores land in the delta; otherwise they go straight to
-    the shared table. *)
-val find_closure : string -> Bitset.t option
-
-val store_closure : string -> Bitset.t -> unit
-
-(** Merge every domain's epoch delta of closures into the shared table
-    (sorted key order) and credit the deterministic hit/miss counts.
-    Call at the epoch boundary, single-domain — [Analysis_cache.epoch]
-    does this automatically. *)
-val merge_epoch : unit -> unit
-
-(** Hit/miss/eviction counters of the memo table, aggregated over shards. *)
+(** Hit/miss/eviction counters of the memo table. *)
 val counters : unit -> Lru.counters
 
-(** Total mutex-contention events over all shards (always 0 while
-    {!Mode.parallel} is off). *)
-val contention : unit -> int
-
-(** Per-shard counters (for the [PARALLEL] benchmark). *)
-val shard_counters : unit -> Sharded.shard_counters array
+(** [epoch ?merge f] — run [f] (typically one [Parallel.Pool.map] batch)
+    with the memo frozen: lookups peek the table, new closures accumulate
+    in per-domain deltas ({!Epoch}). When [f] returns or raises, and the
+    calling domain is again the only one running, [merge ()] runs (other
+    caches merge their own deltas there), then the memo delta merges in
+    sorted key order with deterministic hit/miss accounting. Nested calls
+    flatten into the outer epoch. This is the only way worker domains may
+    reach a shared cache. *)
+val epoch : ?merge:(unit -> unit) -> (unit -> 'a) -> 'a
 
 (** [closure_key ~tag ~seed pairs] — canonical memo key for the closure of
     [seed] under the (lhs, rhs) dependency [pairs]. The key is insensitive
@@ -63,29 +45,22 @@ val shard_counters : unit -> Sharded.shard_counters array
     semantics. *)
 val closure_key : tag:char -> seed:Bitset.t -> (Bitset.t * Bitset.t) list -> string
 
-(** [saturate pairs seed] — smallest superset of [seed] closed under the
-    pairs: whenever a pair's lhs is contained in the accumulator, its rhs
-    joins it (an empty lhs fires unconditionally). Dispatches on the
-    {!set_engine} switch; both engines compute the same set. *)
-val saturate : (Bitset.t * Bitset.t) list -> Bitset.t -> Bitset.t
-
-(** Counter-based linear-time closure (Beeri–Bernstein): per-pair
+(** [saturate ?on_fire pairs seed] — smallest superset of [seed] closed
+    under the pairs: whenever a pair's lhs is contained in the
+    accumulator, its rhs joins it (an empty lhs fires unconditionally).
+    Counter-based linear-time closure (Beeri–Bernstein): per-pair
     unsatisfied-lhs counters plus a worklist of newly-acquired attributes.
-    Counts one {!Counters.record_iteration} per call. *)
-val saturate_linear : (Bitset.t * Bitset.t) list -> Bitset.t -> Bitset.t
-
-(** The historical whole-list sweep fixpoint: one
-    {!Counters.record_iteration} per sweep. Kept as the differential oracle
-    and benchmark baseline for {!saturate_linear}. *)
-val saturate_sweep : (Bitset.t * Bitset.t) list -> Bitset.t -> Bitset.t
-
-(** Benchmark/test switch between the two [saturate] engines. The default
-    — and the only setting production paths ever see — is [`Linear]. *)
-val set_engine : [ `Linear | `Sweep ] -> unit
-
-val current_engine : unit -> [ `Linear | `Sweep ]
+    Counts one {!Counters.record_iteration} per call. [on_fire i added] is
+    called for every firing that acquires attributes, with the index of
+    the pair in [pairs] and the attributes it added; the [added] sets of
+    one call are disjoint and their union is the closure minus [seed]. *)
+val saturate :
+  ?on_fire:(int -> Bitset.t -> unit) ->
+  (Bitset.t * Bitset.t) list ->
+  Bitset.t ->
+  Bitset.t
 
 (** [memo_closure ~tag ~seed pairs] — {!saturate} through the memo table:
-    a hit records {!Counters.record_memo_hit} and runs no sweeps at all, a
+    a hit records {!Counters.record_memo_hit} and runs no saturation, a
     miss computes and stores. Callers must check {!enabled} themselves. *)
 val memo_closure : tag:char -> seed:Bitset.t -> (Bitset.t * Bitset.t) list -> Bitset.t

@@ -68,16 +68,20 @@ let oracle_fails ~max_cells oracle c =
     (Oracle.all ~max_cells c)
 
 let run ?(log = fun _ -> ()) ?pool config =
-  let jobs = match pool with None -> 1 | Some p -> Parallel.Pool.jobs p in
   (* One shared cache (and the closure memo) for the whole campaign when
      requested: the report must come out bit-identical either way, which the
      cache smoke test asserts by diffing the two. *)
   let cache =
-    if config.use_cache then
-      Some (Analysis_cache.create ~shards:(if jobs > 1 then 16 else 1) ())
-    else None
+    if config.use_cache then Some (Analysis_cache.create ()) else None
   in
-  Cache.Mode.with_parallel (jobs > 1) @@ fun () ->
+  (* Worker domains reach the shared caches only inside an epoch — even
+     without [--cache], since the cache oracle turns the closure memo on
+     for its own runs. *)
+  let epoch f =
+    match cache with
+    | Some c -> Analysis_cache.epoch c f
+    | None -> Cache.Runtime.epoch f
+  in
   Cache.Runtime.with_enabled config.use_cache @@ fun () ->
   let rng = Random.State.make [| config.seed |] in
   let tally : (string, int * int * int) Hashtbl.t = Hashtbl.create 32 in
@@ -118,7 +122,7 @@ let run ?(log = fun _ -> ()) ?pool config =
       let block = List.rev !block in
       match pool with
       | None -> List.map f block
-      | Some p -> Parallel.Pool.map p f block
+      | Some p -> epoch (fun () -> Parallel.Pool.map p f block)
     in
     (* Merge in submission order; shrinking replays oracles, so it runs here
        on the submitting domain, not inside the judged block. *)

@@ -60,8 +60,9 @@ type report = {
     oracle judging fans out over the pool's domains, and results merge back
     in case order — the report is byte-identical at any job count (the
     pool-consistency check in [test/test_difftest.ml] diffs [--jobs 1]
-    against [--jobs 4]). [Cache.Mode.parallel] is forced on for the
-    campaign's duration whenever the pool has more than one domain. *)
+    against [--jobs 4]). Each judged block runs as one cache epoch
+    ({!Cache.Runtime.epoch}), the only way worker domains may reach the
+    shared caches. *)
 val run : ?log:(int -> unit) -> ?pool:Parallel.Pool.t -> config -> report
 
 (** Re-judge a stored corpus case ([only] as in {!Oracle.all};

@@ -23,7 +23,6 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
-  mutable cache_contention : int;
   mutable dedup_strategy : string;
   mutable join_strategy : string;
 }
@@ -54,7 +53,6 @@ let create () =
     cache_hits = 0;
     cache_misses = 0;
     cache_evictions = 0;
-    cache_contention = 0;
     dedup_strategy = "";
     join_strategy = "";
   }
@@ -84,7 +82,6 @@ let reset t =
   t.cache_hits <- 0;
   t.cache_misses <- 0;
   t.cache_evictions <- 0;
-  t.cache_contention <- 0;
   t.dedup_strategy <- "";
   t.join_strategy <- ""
 
@@ -113,15 +110,13 @@ let add t u =
   t.cache_hits <- t.cache_hits + u.cache_hits;
   t.cache_misses <- t.cache_misses + u.cache_misses;
   t.cache_evictions <- t.cache_evictions + u.cache_evictions;
-  t.cache_contention <- t.cache_contention + u.cache_contention;
   if u.dedup_strategy <> "" then t.dedup_strategy <- u.dedup_strategy;
   if u.join_strategy <> "" then t.join_strategy <- u.join_strategy
 
-let record_cache t ~hits ~misses ~evictions ~contention =
+let record_cache t ~hits ~misses ~evictions =
   t.cache_hits <- hits;
   t.cache_misses <- misses;
-  t.cache_evictions <- evictions;
-  t.cache_contention <- contention
+  t.cache_evictions <- evictions
 
 let record_dedup t ~strategy ~state =
   t.dedup_strategy <-
@@ -158,8 +153,7 @@ let fields t =
     ("scan_cache_evictions", t.scan_cache_evictions);
     ("cache_hits", t.cache_hits);
     ("cache_misses", t.cache_misses);
-    ("cache_evictions", t.cache_evictions);
-    ("cache_contention", t.cache_contention) ]
+    ("cache_evictions", t.cache_evictions) ]
 
 let pp ppf t =
   Format.fprintf ppf
@@ -168,7 +162,7 @@ let pp ppf t =
      dedup_state_peak=%d elisions=%d sorted_fallbacks=%d sort_elisions=%d \
      merge_joins=%d%s join_build=%d \
      join_probe=%d unique_builds=%d early_exits=%d%s scan_evictions=%d \
-     cache_hits=%d cache_misses=%d cache_evictions=%d cache_contention=%d"
+     cache_hits=%d cache_misses=%d cache_evictions=%d"
     t.rows_scanned t.rows_output t.predicate_evals t.product_pairs t.sorts
     t.sorted_rows t.comparisons t.hash_probes t.subquery_evals
     t.dedup_rows_in t.dedup_rows_out t.dedup_state_peak t.distinct_elisions
@@ -179,6 +173,5 @@ let pp ppf t =
     (if t.join_strategy = "" then ""
      else Printf.sprintf " join_strategy=%s" t.join_strategy)
     t.scan_cache_evictions t.cache_hits t.cache_misses t.cache_evictions
-    t.cache_contention
 
 let to_string t = Format.asprintf "%a" pp t

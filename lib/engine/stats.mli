@@ -49,7 +49,6 @@ type t = {
   mutable cache_hits : int;         (** analysis-cache verdict hits *)
   mutable cache_misses : int;       (** analysis-cache verdict misses *)
   mutable cache_evictions : int;    (** analysis-cache LRU evictions *)
-  mutable cache_contention : int;   (** analysis-cache shard-lock contention *)
   mutable dedup_strategy : string;
       (** comma-joined names of the dedup strategies that ran, in plan
           order (e.g. ["elided-unique"], ["sorted-unique->hash"]); [""]
@@ -71,7 +70,7 @@ val add : t -> t -> unit
     gauges of the shared cache, not per-execution deltas, so adding readings
     from two reports would double-count). *)
 val record_cache :
-  t -> hits:int -> misses:int -> evictions:int -> contention:int -> unit
+  t -> hits:int -> misses:int -> evictions:int -> unit
 
 (** Narrate one duplicate-elimination step: appends [strategy] to
     [dedup_strategy] and folds [state] into [dedup_state_peak]. *)

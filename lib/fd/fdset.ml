@@ -25,31 +25,6 @@ let make_fd lhs rhs = { lhs = Attr.set_of_list lhs; rhs = Attr.set_of_list rhs }
 let pp_fd ppf f =
   Format.fprintf ppf "%a -> %a" Attr.pp_set f.lhs Attr.pp_set f.rhs
 
-let closure_direct ~trace t xs =
-  let cur = ref xs in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Cache.Counters.record_iteration ();
-    List.iter
-      (fun f ->
-        if Attr.Set.subset f.lhs !cur && not (Attr.Set.subset f.rhs !cur) then begin
-          Trace.emitf trace (fun () ->
-              Trace.node ~rule:"fd.closure-step"
-                ~inputs:[ ("fd", Format.asprintf "%a" pp_fd f) ]
-                ~facts:
-                  [ ("acquired",
-                     Format.asprintf "%a" Attr.pp_set
-                       (Attr.Set.diff f.rhs !cur)) ]
-                "the left-hand side is contained in X+, so the right-hand \
-                 side joins it (Armstrong transitivity)");
-          cur := Attr.Set.union f.rhs !cur;
-          changed := true
-        end)
-      t
-  done;
-  !cur
-
 (* The interned-bitset fixpoint is the generic engine: an FD is exactly
    one saturation pair. *)
 module Closure = Cache.Dependency_closure.Make (struct
@@ -61,14 +36,20 @@ module Closure = Cache.Dependency_closure.Make (struct
     [ (Cache.Interner.bits_of_set f.lhs, Cache.Interner.bits_of_set f.rhs) ]
 end)
 
+let narrate trace f acquired =
+  Trace.emitf trace (fun () ->
+      Trace.node ~rule:"fd.closure-step"
+        ~inputs:[ ("fd", Format.asprintf "%a" pp_fd f) ]
+        ~facts:[ ("acquired", Format.asprintf "%a" Attr.pp_set acquired) ]
+        "the left-hand side is contained in X+, so the right-hand side \
+         joins it (Armstrong transitivity)")
+
+(* One engine, traced or not: a live trace only adds the per-step
+   narration (and bypasses the memo, so the snapshot-tested trace output
+   is independent of the cache). *)
 let closure ?(trace = Trace.disabled) t xs =
   Cache.Counters.record_call ();
-  (* Tracing needs the per-step provenance only the direct loop produces,
-     so a live trace always takes it — which also keeps the snapshot-tested
-     default trace output independent of the cache. Untraced closures run
-     the counter-based linear engine over interned bitsets, through the
-     memo table when it is enabled — both via {!Cache.Dependency_closure}. *)
-  if Trace.enabled trace then closure_direct ~trace t xs
+  if Trace.enabled trace then Closure.closure ~on_step:(narrate trace) t xs
   else Closure.closure t xs
 
 let implies t f = Attr.Set.subset f.rhs (closure t f.lhs)

@@ -33,96 +33,6 @@ let pp ppf = function
   | Type1 (a, Host h) -> Format.fprintf ppf "%a = :%s" Attr.pp a h
   | Type2 (a, b) -> Format.fprintf ppf "%a = %a" Attr.pp a Attr.pp b
 
-let closure_direct ~trace seed eqs =
-  let v = ref seed in
-  List.iter
-    (function
-      | Type1 (a, _) as eq ->
-        if not (Attr.Set.mem a !v) then
-          Trace.emitf trace (fun () ->
-              Trace.node ~rule:"closure.type1"
-                ~inputs:[ ("condition", Format.asprintf "%a" pp eq) ]
-                ~facts:[ ("bound", Attr.to_string a) ]
-                "Type-1 equality binds the column for the whole execution");
-        v := Attr.Set.add a !v
-      | Type2 _ -> ())
-    eqs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Cache.Counters.record_iteration ();
-    List.iter
-      (function
-        | Type2 (a, b) as eq ->
-          let propagate added =
-            Trace.emitf trace (fun () ->
-                Trace.node ~rule:"closure.type2"
-                  ~inputs:[ ("condition", Format.asprintf "%a" pp eq) ]
-                  ~facts:[ ("bound", Attr.to_string added) ]
-                  "Type-2 equality propagates bound-ness transitively")
-          in
-          if Attr.Set.mem a !v && not (Attr.Set.mem b !v) then begin
-            v := Attr.Set.add b !v;
-            propagate b;
-            changed := true
-          end;
-          if Attr.Set.mem b !v && not (Attr.Set.mem a !v) then begin
-            v := Attr.Set.add a !v;
-            propagate a;
-            changed := true
-          end
-        | Type1 _ -> ())
-      eqs
-  done;
-  !v
-
-(* Path-compressed union-find over interned attribute ids: a Type-2
-   equality merges two classes, a Type-1 equality marks a class bound, and
-   the closure is the seed plus every member of a bound class. One pass
-   over the conditions (recorded as one iteration) replaces the
-   while-changed sweeps of the loop above, which stays for traced runs
-   because only it can narrate each propagation step. *)
-let closure_uf seed eqs =
-  Cache.Counters.record_iteration ();
-  let parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let bound : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec find a =
-    match Hashtbl.find_opt parent a with
-    | None ->
-      Hashtbl.replace parent a a;
-      a
-    | Some p when p = a -> a
-    | Some p ->
-      let r = find p in
-      Hashtbl.replace parent a r;
-      r
-  in
-  let mark a = Hashtbl.replace bound (find a) () in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then begin
-      Hashtbl.replace parent ra rb;
-      if Hashtbl.mem bound ra then Hashtbl.replace bound rb ()
-    end
-  in
-  List.iter
-    (function
-      | Type1 (a, _) -> mark (Cache.Interner.id a)
-      | Type2 (a, b) -> union (Cache.Interner.id a) (Cache.Interner.id b))
-    eqs;
-  Attr.Set.iter
-    (fun a ->
-      let i = Cache.Interner.id a in
-      if Hashtbl.mem parent i then mark i)
-    seed;
-  let bits =
-    Hashtbl.fold
-      (fun i _ acc ->
-        if Hashtbl.mem bound (find i) then Cache.Bitset.add i acc else acc)
-      parent Cache.Bitset.empty
-  in
-  Attr.Set.union seed (Cache.Interner.set_of_bits bits)
-
 (* Encode the equality semantics as saturation pairs: a Type-1 condition
    binds its column unconditionally (empty lhs always fires), a Type-2
    condition propagates bound-ness both ways. *)
@@ -141,10 +51,27 @@ module Closure = Cache.Dependency_closure.Make (struct
         (B.singleton (id b), B.singleton (id a)) ]
 end)
 
+(* [bound] holds the one column the firing pair of [eq] acquired. *)
+let narrate trace eq bound =
+  let rule, detail =
+    match eq with
+    | Type1 _ ->
+      ("closure.type1", "Type-1 equality binds the column for the whole execution")
+    | Type2 _ ->
+      ("closure.type2", "Type-2 equality propagates bound-ness transitively")
+  in
+  Attr.Set.iter
+    (fun a ->
+      Trace.emitf trace (fun () ->
+          Trace.node ~rule
+            ~inputs:[ ("condition", Format.asprintf "%a" pp eq) ]
+            ~facts:[ ("bound", Attr.to_string a) ]
+            detail))
+    bound
+
 let closure ?(trace = Trace.disabled) seed eqs =
   Cache.Counters.record_call ();
-  if Trace.enabled trace then closure_direct ~trace seed eqs
-  else if not (Cache.Runtime.enabled ()) then closure_uf seed eqs
+  if Trace.enabled trace then Closure.closure ~on_step:(narrate trace) eqs seed
   else Closure.closure eqs seed
 
 module Classes = struct

@@ -75,7 +75,9 @@ let tokenize input =
           go k
         end
         else begin
-          emit (INT (int_of_string (String.sub input i (j - i))));
+          (match int_of_string_opt (String.sub input i (j - i)) with
+           | Some v -> emit (INT v)
+           | None -> raise (Lex_error ("integer literal out of range", i)));
           go j
         end
       end

@@ -81,52 +81,6 @@ let test_lru_overwrite () =
   Alcotest.(check (option int)) "b evicted, not a" None (L.find t "b");
   Alcotest.(check (option int)) "a survives" (Some 10) (L.find t "a")
 
-(* ---- sharded LRU (single-domain semantics) ---- *)
-
-module Sh = Cache.Sharded
-
-(* one shard reproduces the plain LRU exactly — this default keeps every
-   sequential code path (and its pinned outputs) byte-identical *)
-let test_sharded_single_shard_is_lru () =
-  let t : (string, int) Sh.t = Sh.create ~shards:1 ~capacity:3 () in
-  Sh.add t "a" 1;
-  Sh.add t "b" 2;
-  Sh.add t "c" 3;
-  Alcotest.(check (option int)) "find a" (Some 1) (Sh.find t "a");
-  Sh.add t "d" 4;
-  Alcotest.(check (option int)) "b evicted (LRU order)" None (Sh.find t "b");
-  Alcotest.(check (option int)) "a survives" (Some 1) (Sh.find t "a");
-  Alcotest.(check int) "length" 3 (Sh.length t);
-  let c = Sh.counters t in
-  Alcotest.(check int) "evictions" 1 c.L.c_evictions;
-  Alcotest.(check int) "contention is zero single-domain" 0 (Sh.contention t)
-
-let test_sharded_routing_and_aggregate () =
-  let t : (int, int) Sh.t = Sh.create ~shards:4 ~capacity:400 () in
-  for k = 0 to 99 do
-    Sh.add t k (k * 3)
-  done;
-  for k = 0 to 99 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "key %d" k)
-      (Some (k * 3))
-      (Sh.find t k)
-  done;
-  Alcotest.(check int) "length over shards" 100 (Sh.length t);
-  let agg = Sh.counters t in
-  Alcotest.(check int) "aggregate hits" 100 agg.L.c_hits;
-  let per = Sh.shard_counters t in
-  Alcotest.(check int) "one row per shard" 4 (Array.length per);
-  Alcotest.(check int) "per-shard hits sum to aggregate" agg.L.c_hits
-    (Array.fold_left (fun acc s -> acc + s.Sh.s_counters.L.c_hits) 0 per);
-  (* shard count rounds up to a power of two *)
-  let t3 : (int, int) Sh.t = Sh.create ~shards:3 ~capacity:16 () in
-  Sh.add t3 1 1;
-  Alcotest.(check int) "rounded shard count" 4
-    (Array.length (Sh.shard_counters t3));
-  Sh.clear t;
-  Alcotest.(check int) "clear empties every shard" 0 (Sh.length t)
-
 (* ---- Fdset dedup regression ---- *)
 
 (* union used to be [a @ b] and add never checked membership, so repeated
@@ -345,11 +299,6 @@ let () =
       ( "lru",
         [ Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "overwrite" `Quick test_lru_overwrite ] );
-      ( "sharded",
-        [ Alcotest.test_case "one shard behaves as the plain LRU" `Quick
-            test_sharded_single_shard_is_lru;
-          Alcotest.test_case "routing and aggregate counters" `Quick
-            test_sharded_routing_and_aggregate ] );
       ( "fdset",
         [ Alcotest.test_case "dedup regression" `Quick test_fdset_dedup ] );
       ( "closure memo",

@@ -344,53 +344,118 @@ let test_split () =
   Alcotest.(check int) "two equalities" 2 (List.length eqs);
   Alcotest.(check int) "one residual" 1 (List.length rest)
 
-(* ---- closure engines agree ---- *)
+(* ---- the one closure engine against a reference fixpoint ---- *)
 
-(* Untraced + memo off runs the union-find engine; a live trace runs the
-   step-narrating sweep. Both must compute the same closure. *)
-let prop_uf_closure_matches_direct =
+(* The reference: re-scan the whole (lhs, rhs) list until a sweep adds
+   nothing. Quadratic and obviously correct. *)
+let sweep_closure pairs seed =
+  let rec go cur =
+    let next =
+      List.fold_left
+        (fun acc (lhs, rhs) ->
+          if Attr.Set.subset lhs acc then Attr.Set.union rhs acc else acc)
+        cur pairs
+    in
+    if Attr.Set.equal next cur then cur else go next
+  in
+  go seed
+
+let closure_attrs =
+  Array.init 12 (fun i -> Attr.of_string (Printf.sprintf "R%d.C%d" (i mod 3) i))
+
+let random_attr rng =
+  closure_attrs.(Random.State.int rng (Array.length closure_attrs))
+
+let random_set rng n =
+  Attr.set_of_list (List.init (Random.State.int rng (n + 1)) (fun _ -> random_attr rng))
+
+(* The attributes named by the [fact] entries of the given closure nodes:
+   one attribute, or a printed set "{A, B}". *)
+let narrated ~rule ~fact nodes =
+  let names v =
+    if v.[0] <> '{' then [ v ]
+    else String.split_on_char ',' (String.sub v 1 (String.length v - 2))
+  in
+  List.fold_left
+    (fun acc (n : Trace.node) ->
+      if n.Trace.rule <> rule then acc
+      else
+        List.fold_left
+          (fun acc s ->
+            match String.trim s with
+            | "" -> acc
+            | s -> Attr.Set.add (Attr.of_string s) acc)
+          acc
+          (names (List.assoc fact n.Trace.facts)))
+    Attr.Set.empty nodes
+
+(* Traced, untraced with the memo off, untraced with the memo on (a miss,
+   then a hit) and the reference all agree, and the narration accounts
+   for exactly the acquired attributes. *)
+let agrees ~closure ~narration ~reference seed =
+  let trace = Trace.make () in
+  let traced = closure ~trace seed in
+  let off =
+    Cache.Runtime.with_enabled false (fun () -> closure ~trace:Trace.disabled seed)
+  in
+  let miss, hit =
+    Cache.Runtime.with_enabled true (fun () ->
+        let m = closure ~trace:Trace.disabled seed in
+        (m, closure ~trace:Trace.disabled seed))
+  in
+  List.for_all (Attr.Set.equal reference) [ traced; off; miss; hit ]
+  && Attr.Set.equal (narration (Trace.nodes trace)) (Attr.Set.diff reference seed)
+
+let prop_fd_closure_agrees =
   QCheck2.Test.make
-    ~name:"union-find closure equals the traced saturation closure"
+    ~name:"FD closure: traced = untraced memo off/on = reference"
     ~count:500 QCheck2.Gen.int
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let attrs =
-        Array.init 12 (fun i -> attr (Printf.sprintf "R%d.C%d" (i mod 3) i))
+      let fds =
+        List.init (Random.State.int rng 10) (fun _ ->
+            { Fd.Fdset.lhs = random_set rng 3; rhs = random_set rng 3 })
       in
-      let any () = attrs.(Random.State.int rng (Array.length attrs)) in
-      let eqs =
-        List.init
-          (Random.State.int rng 16)
-          (fun _ ->
-            if Random.State.int rng 4 = 0 then
-              Logic.Equalities.Type1 (any (), Logic.Equalities.Const (Value.Int 1))
-            else Logic.Equalities.Type2 (any (), any ()))
-      in
-      let seed_set =
-        Array.fold_left
-          (fun acc a -> if Random.State.bool rng then Attr.Set.add a acc else acc)
-          Attr.Set.empty attrs
-      in
-      let uf = Logic.Equalities.closure seed_set eqs in
-      let direct = Logic.Equalities.closure ~trace:(Trace.make ()) seed_set eqs in
-      Attr.Set.equal uf direct)
+      let start = random_set rng 4 in
+      agrees
+        ~closure:(fun ~trace xs -> Fd.Fdset.closure ~trace (Fd.Fdset.of_list fds) xs)
+        ~narration:(narrated ~rule:"fd.closure-step" ~fact:"acquired")
+        ~reference:
+          (sweep_closure
+             (List.map (fun (f : Fd.Fdset.fd) -> (f.Fd.Fdset.lhs, f.Fd.Fdset.rhs)) fds)
+             start)
+        start)
 
-let prop_saturate_engines_agree =
-  QCheck2.Test.make ~name:"linear closure engine equals the sweep fixpoint"
+let prop_equality_closure_agrees =
+  QCheck2.Test.make
+    ~name:"equality closure: traced = untraced memo off/on = reference"
     ~count:500 QCheck2.Gen.int
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let bits () =
-        Cache.Bitset.of_list
-          (List.init (Random.State.int rng 4) (fun _ -> Random.State.int rng 24))
+      let eqs =
+        List.init (Random.State.int rng 16) (fun _ ->
+            if Random.State.int rng 4 = 0 then
+              Logic.Equalities.Type1 (random_attr rng, Logic.Equalities.Const (Value.Int 1))
+            else Logic.Equalities.Type2 (random_attr rng, random_attr rng))
       in
       let pairs =
-        List.init (Random.State.int rng 12) (fun _ -> (bits (), bits ()))
+        List.concat_map
+          (function
+            | Logic.Equalities.Type1 (a, _) -> [ (Attr.Set.empty, Attr.Set.singleton a) ]
+            | Logic.Equalities.Type2 (a, b) ->
+              [ (Attr.Set.singleton a, Attr.Set.singleton b);
+                (Attr.Set.singleton b, Attr.Set.singleton a) ])
+          eqs
       in
-      let s = bits () in
-      Cache.Bitset.equal
-        (Cache.Runtime.saturate_linear pairs s)
-        (Cache.Runtime.saturate_sweep pairs s))
+      let start = random_set rng 4 in
+      let narration nodes =
+        Attr.Set.union
+          (narrated ~rule:"closure.type1" ~fact:"bound" nodes)
+          (narrated ~rule:"closure.type2" ~fact:"bound" nodes)
+      in
+      agrees
+        ~closure:(fun ~trace v -> Logic.Equalities.closure ~trace v eqs)
+        ~narration ~reference:(sweep_closure pairs start) start)
 
 let () =
   Alcotest.run "logic"
@@ -416,7 +481,7 @@ let () =
         ] );
       ( "closure-engines",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_uf_closure_matches_direct; prop_saturate_engines_agree ] );
+          [ prop_fd_closure_agrees; prop_equality_closure_agrees ] );
       ( "equalities",
         [
           Alcotest.test_case "classification" `Quick test_classify;

@@ -1,5 +1,5 @@
 (* Order-dependency tests: the shared Dependency_closure functor checked
-   against Fdset.closure on both saturation engines, the Odset.covers
+   against Fdset.closure, the Odset.covers
    axioms (prefix, constants, key skips, equality canonicalization),
    order-provenance survival through projections/filters/products, and
    the NULLS FIRST placement shared byte-for-byte by Operator.sort,
@@ -26,8 +26,8 @@ let set = Alcotest.testable Attr.pp_set Attr.Set.equal
 
 (* A second instantiation of the functor over the same FD encoding
    Fdset uses internally: set(lhs) acquires set(rhs). Agreement with
-   Fdset.closure on both engines is what licenses sharing the plumbing
-   across dependency classes. *)
+   Fdset.closure is what licenses sharing the plumbing across dependency
+   classes. *)
 module Fd_closure = Cache.Dependency_closure.Make (struct
   type dep = Fdset.fd
 
@@ -52,23 +52,13 @@ let small_fds_gen : Fdset.t QCheck2.Gen.t =
       Fdset.of_list (List.map (fun (l, r) -> { Fdset.lhs = l; rhs = r }) pairs))
     (list_size (int_range 0 5) (pair attr_subset_gen attr_subset_gen))
 
-let functor_matches_fdset engine =
-  QCheck2.Test.make
-    ~name:
-      (Printf.sprintf "Dependency_closure = Fdset.closure (%s engine)"
-         (match engine with `Linear -> "linear" | `Sweep -> "sweep"))
-    ~count:300
+let prop_functor_matches_fdset =
+  QCheck2.Test.make ~name:"Dependency_closure = Fdset.closure" ~count:300
     QCheck2.Gen.(pair small_fds_gen attr_subset_gen)
     (fun (fds, xs) ->
-      let previous = Cache.Runtime.current_engine () in
-      Cache.Runtime.set_engine engine;
-      let via_functor = Fd_closure.closure (Fdset.to_list fds) xs in
-      let via_fdset = Fdset.closure fds xs in
-      Cache.Runtime.set_engine previous;
-      Attr.Set.equal via_functor via_fdset)
-
-let prop_functor_linear = functor_matches_fdset `Linear
-let prop_functor_sweep = functor_matches_fdset `Sweep
+      Attr.Set.equal
+        (Fd_closure.closure (Fdset.to_list fds) xs)
+        (Fdset.closure fds xs))
 
 let prop_subsumes_agrees =
   QCheck2.Test.make ~name:"subsumes = subset-of-closure" ~count:300
@@ -323,7 +313,7 @@ let () =
     [
       ( "dependency-closure",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_functor_linear; prop_functor_sweep; prop_subsumes_agrees ] );
+          [ prop_functor_matches_fdset; prop_subsumes_agrees ] );
       ( "covers",
         [
           Alcotest.test_case "prefix" `Quick test_covers_prefix;

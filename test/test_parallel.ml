@@ -1,13 +1,11 @@
-(* Tests for the work-stealing domain pool and the domain-safe sharded
-   cache: map's submission-order determinism, exception capture across
-   domains (including tasks that raise after being stolen), pool reuse,
-   the jobs = 1 sequential degeneration, steal traffic under skewed chunk
+(* Tests for the work-stealing domain pool and the epoch-scoped caches:
+   map's submission-order determinism, exception capture across domains
+   (including tasks that raise after being stolen), pool reuse, the
+   jobs = 1 sequential degeneration, steal traffic under skewed chunk
    costs, epoch-merge cache equivalence across jobs levels, and a
-   multi-domain stress run on one sharded LRU whose counters must add up
-   exactly. *)
+   multi-domain interner stress run. *)
 
 module Pool = Parallel.Pool
-module S = Cache.Sharded
 module L = Cache.Lru
 
 exception Boom of int
@@ -182,11 +180,10 @@ let epoch_base_queries =
    (cold then warm) and report everything observable: verdicts in order,
    verdict counters, closure-memo counter deltas, entry count. *)
 let run_epoch_workload ~jobs epoch_workload =
-  Cache.Mode.with_parallel (jobs > 1) @@ fun () ->
   Cache.Runtime.with_enabled true @@ fun () ->
   Cache.Runtime.clear ();
   let memo0 = Cache.Runtime.counters () in
-  let cache = Analysis_cache.create ~shards:8 () in
+  let cache = Analysis_cache.create () in
   Pool.with_pool ~jobs @@ fun pool ->
   let one_epoch () =
     Analysis_cache.epoch cache (fun () ->
@@ -258,67 +255,13 @@ let test_epoch_closure_memo_equivalence () =
   Alcotest.(check (pair int int)) "closure-memo hit/miss deltas identical"
     memo1 memo4
 
-(* ---- sharded LRU under concurrency ---- *)
-
-(* four domains hammer one sharded table; afterwards, with the dust
-   settled, hits + misses over the shards must equal the number of finds
-   issued, and every key must be present with its correct value *)
-let test_sharded_stress_counters () =
-  let keys_per_domain = 2_000 in
-  let domains = 4 in
-  let t : (int, int) S.t = S.create ~shards:8 ~capacity:100_000 () in
-  Cache.Mode.with_parallel true @@ fun () ->
-  Pool.with_pool ~jobs:domains @@ fun pool ->
-  let worker d =
-    (* overlapping key ranges: half shared with the neighbour *)
-    let base = d * keys_per_domain / 2 in
-    let found = ref 0 in
-    for k = base to base + keys_per_domain - 1 do
-      (match S.find t k with
-      | Some v -> if v <> 2 * k then Alcotest.fail "wrong value under race"
-      | None -> S.add t k (2 * k));
-      (match S.find t k with
-      | Some v ->
-        incr found;
-        if v <> 2 * k then Alcotest.fail "wrong value under race"
-      | None -> Alcotest.fail "just-added key missing")
-    done;
-    !found
-  in
-  let found = Pool.map pool worker (List.init domains Fun.id) in
-  Alcotest.(check int) "second find always hits"
-    (domains * keys_per_domain)
-    (List.fold_left ( + ) 0 found);
-  let agg = S.counters t in
-  Alcotest.(check int) "hits + misses = finds issued"
-    (2 * domains * keys_per_domain)
-    (agg.L.c_hits + agg.L.c_misses);
-  Alcotest.(check int) "no evictions at this capacity" 0 agg.L.c_evictions;
-  (* per-shard counters sum to the aggregate *)
-  let per = S.shard_counters t in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per in
-  Alcotest.(check int) "shard hits sum" agg.L.c_hits
-    (sum (fun s -> s.S.s_counters.L.c_hits));
-  Alcotest.(check int) "shard misses sum" agg.L.c_misses
-    (sum (fun s -> s.S.s_counters.L.c_misses));
-  Alcotest.(check int) "contention sums" (S.contention t)
-    (sum (fun s -> s.S.s_contention));
-  (* every key that was added is still there with its value *)
-  let all_keys = (domains - 1) * keys_per_domain / 2 + keys_per_domain in
-  Alcotest.(check int) "entry count" all_keys (S.length t);
-  for k = 0 to all_keys - 1 do
-    match S.find t k with
-    | Some v when v = 2 * k -> ()
-    | Some _ -> Alcotest.fail "corrupted value after stress"
-    | None -> Alcotest.fail (Printf.sprintf "key %d lost after stress" k)
-  done
+(* ---- interner under concurrency ---- *)
 
 (* the interner allocates dense, stable ids when four domains intern
    overlapping attribute sets concurrently *)
 let test_interner_stress () =
   let attrs_per_domain = 500 in
   let domains = 4 in
-  Cache.Mode.with_parallel true @@ fun () ->
   Pool.with_pool ~jobs:domains @@ fun pool ->
   let worker d =
     let base = d * attrs_per_domain / 2 in
@@ -371,8 +314,6 @@ let () =
             test_epoch_merge_counter_equivalence;
           Alcotest.test_case "closure memo deterministic per-epoch-unique"
             `Quick test_epoch_closure_memo_equivalence ] );
-      ( "sharded",
-        [ Alcotest.test_case "4-domain LRU stress, counters add up" `Quick
-            test_sharded_stress_counters;
-          Alcotest.test_case "4-domain interner stress" `Quick
+      ( "interner",
+        [ Alcotest.test_case "4-domain interner stress" `Quick
             test_interner_stress ] ) ]

@@ -92,10 +92,9 @@ let with_server ?(jobs = 2) ?(max_inflight = 1024) ?(max_batch = 64)
       test_delay_s;
     }
   in
-  let cache = Analysis_cache.create ~shards:8 () in
+  let cache = Analysis_cache.create () in
   let dom =
     Domain.spawn (fun () ->
-        Cache.Mode.with_parallel (jobs > 1) @@ fun () ->
         Cache.Runtime.with_enabled true @@ fun () ->
         Server.run cfg catalog cache)
   in
@@ -150,6 +149,28 @@ let test_byte_identical_across_jobs () =
   Alcotest.(check (list string))
     "jobs=1 and jobs=2 reply streams identical" (transcript 1 "j1")
     (transcript 2 "j2")
+
+(* an integer literal too large for an int is a lex error for that
+   request alone: the session answers it and goes on *)
+let test_oversized_literal_then_good_request () =
+  with_server "bigint" @@ fun path ->
+  let fd = connect path in
+  send_lines fd
+    [ "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 99999999999999999999";
+      List.nth queries 0 ];
+  let blocks = read_blocks fd 2 in
+  Unix.close fd;
+  match blocks with
+  | [ bad; good ] ->
+    Alcotest.(check bool) ("lex error reply: " ^ bad) true
+      (String.starts_with ~prefix:"[1] lex error" bad);
+    Alcotest.(check string) "then a normal reply"
+      "[2] unique(alg1)=true unique(fd)=true rewrites=1 final=SELECT ALL \
+       S.SNO FROM SUPPLIER S WHERE S.SNO = 's1'"
+      good
+  | _ ->
+    Alcotest.fail
+      (Printf.sprintf "expected two reply blocks, got %d" (List.length blocks))
 
 (* admission control: a burst written in one chunk against a stalled
    single-request dispatcher admits exactly max_inflight requests and
@@ -212,5 +233,7 @@ let () =
             test_pipelined_replies;
           Alcotest.test_case "byte-identical across jobs" `Quick
             test_byte_identical_across_jobs;
+          Alcotest.test_case "oversized literal, then a good request" `Quick
+            test_oversized_literal_then_good_request;
           Alcotest.test_case "overloaded + stats + shutdown" `Quick
             test_overloaded_rejection_and_stats ] ) ]

@@ -171,6 +171,16 @@ let test_errors () =
   expect_fail "SELECT A FROM R WHERE";
   expect_fail "SELECT A FROM R WHERE A ="
 
+(* an integer literal beyond the native int range is a lex error at the
+   literal's offset, never an escaping [Failure] *)
+let test_oversized_int_literal () =
+  let sql = "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 99999999999999999999" in
+  match parse sql with
+  | exception Sql.Lexer.Lex_error (msg, off) ->
+    Alcotest.(check string) "message" "integer literal out of range" msg;
+    Alcotest.(check int) "offset of the literal" (String.index sql '9') off
+  | _ -> Alcotest.fail "expected a lex error"
+
 (* ---- round-trip ---- *)
 
 let round_trip_query s =
@@ -213,6 +223,8 @@ let () =
           Alcotest.test_case "comments and case folding" `Quick
             test_comments_and_case;
           Alcotest.test_case "parse errors" `Quick test_errors;
+          Alcotest.test_case "oversized integer literal" `Quick
+            test_oversized_int_literal;
         ] );
       ( "round-trip",
         Alcotest.test_case "paper examples" `Quick test_round_trip_examples
