@@ -142,6 +142,29 @@ let test_campaign_pool_consistent () =
   Alcotest.(check string) "jobs 1 = jobs 4 with the shared cache" seq_cached
     pooled_cached
 
+(* The cache oracle builds two private analysis caches per case, and every
+   judged block runs in an epoch, so each case creates epoch locals. They
+   must die with their epoch: the live heap after a long campaign may not
+   exceed the one after a short campaign by more than noise (leaking one
+   local per cache grows it by ~90k words over the extra cases). *)
+let test_campaign_heap_flat () =
+  let live_after count =
+    let config =
+      { campaign_config with D.Runner.count; oracles = [ "cache" ]; shrink = false }
+    in
+    Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+        ignore (D.Runner.run ~pool config));
+    (* the closure memo is a bounded LRU that fills with the campaign *)
+    Cache.Runtime.clear ();
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let short = live_after 64 in
+  let long = live_after 512 in
+  if long - short > 20_000 then
+    Alcotest.failf "live heap grew by %d words from 64 to 512 cases"
+      (long - short)
+
 (* symbolic-oracle reproducibility: restricting a campaign to the
    symbolic (and logic) oracle groups must be byte-identical across
    sequential and pooled judging — the symbolic witness search is a
@@ -236,6 +259,8 @@ let () =
             `Quick test_campaign_nested_or_clean;
           Alcotest.test_case "4-domain pool, same report" `Quick
             test_campaign_pool_consistent;
+          Alcotest.test_case "live heap flat in the case count" `Quick
+            test_campaign_heap_flat;
           Alcotest.test_case "symbolic oracle reproducible across jobs" `Quick
             test_campaign_symbolic_reproducible;
           Alcotest.test_case "skips are accounted by reason" `Quick
