@@ -516,17 +516,19 @@ let experiment_x1 () =
   let o = R.remove_redundant_group_by catalog q in
   assert o.R.applied;
   Printf.printf "rewrite: %s\n\n" (Sql.Pretty.query o.R.result);
-  Printf.printf "%10s %8s | %12s %7s | %12s %7s | %8s\n" "parts" "rows"
-    "grouped ms" "sorts" "rewritten ms" "sorts" "speedup";
+  Printf.printf "%10s %8s | %12s %7s %7s | %12s %7s %7s | %8s\n" "parts"
+    "rows" "grouped ms" "compars" "probes" "rewritten ms" "compars" "probes"
+    "speedup";
   List.iter
     (fun suppliers ->
       let d = db ~suppliers ~parts_per:10 in
       let r1, t1, s1 = run_timed d [] q in
       let _, t2, s2 = run_timed d [] o.R.result in
-      Printf.printf "%10d %8d | %12.2f %7d | %12.2f %7d | %7.1fx\n"
+      Printf.printf "%10d %8d | %12.2f %7d %7d | %12.2f %7d %7d | %7.1fx\n"
         (suppliers * 10)
         (Engine.Relation.cardinality r1)
-        t1 s1.Engine.Stats.sorts t2 s2.Engine.Stats.sorts
+        t1 s1.Engine.Stats.comparisons s1.Engine.Stats.hash_probes t2
+        s2.Engine.Stats.comparisons s2.Engine.Stats.hash_probes
         (t1 /. max 1e-9 t2))
     [ 300; 1_000; 3_000; 10_000 ]
 

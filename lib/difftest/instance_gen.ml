@@ -3,9 +3,12 @@ module R = Schema.Relschema
 module Value = Sqlval.Value
 module Truth = Sqlval.Truth
 
-(* serialized key tuple; identical to the tag Database.validate uses, so a
-   row accepted here is never reported as Duplicate_key there *)
-let key_tag = Engine.Relation.key_of_values
+(* FLOAT draws: integral values equal to the INT pool 0..3, plus two
+   values that differ as numbers but print alike under %g (1.23457e+06) —
+   a key format built from printed values would confuse them *)
+let float_value rng =
+  Value.Float
+    (List.nth [ 0.; 1.; 2.; 3.; 1234567.; 1234568. ] (Random.State.int rng 6))
 
 let random_value rng (col : R.column) =
   if col.R.nullable && Random.State.float rng 1.0 < 0.25 then Value.Null
@@ -15,7 +18,7 @@ let random_value rng (col : R.column) =
     | R.Tstring ->
       Value.String (List.nth [ "a"; "b"; "c" ] (Random.State.int rng 3))
     | R.Tbool -> Value.Bool (Random.State.bool rng)
-    | R.Tfloat -> Value.Float (float_of_int (Random.State.int rng 4))
+    | R.Tfloat -> float_value rng
 
 let checks_pass (def : Catalog.table_def) row =
   let schema = def.Catalog.tbl_schema in
@@ -45,11 +48,14 @@ let tables ~rng ?(rows = 6) cat =
       let col_index cname =
         R.index_of schema (Schema.Attr.make ~rel:name ~name:cname)
       in
-      (* one dedup set per candidate key *)
+      (* one dedup set per candidate key, keyed as Database.validate keys
+         them, so a row accepted here is never reported as Duplicate_key
+         there *)
       let keys =
         List.map
           (fun (k : Catalog.key) ->
-            (List.map col_index k.Catalog.key_cols, Hashtbl.create 16))
+            ( Array.of_list (List.map col_index k.Catalog.key_cols),
+              Engine.Relation.Row_tbl.create 16 ))
           (Catalog.candidate_keys def)
       in
       let fks =
@@ -108,13 +114,13 @@ let tables ~rng ?(rows = 6) cat =
              reject duplicates under the null-comparison tag *)
           List.exists
             (fun (idxs, seen) ->
-              Hashtbl.mem seen (key_tag (List.map (fun i -> row.(i)) idxs)))
+              Engine.Relation.(Row_tbl.mem seen (project idxs row)))
             keys
         then None
         else begin
           List.iter
             (fun (idxs, seen) ->
-              Hashtbl.add seen (key_tag (List.map (fun i -> row.(i)) idxs)) ())
+              Engine.Relation.(Row_tbl.add seen (project idxs row) ()))
             keys;
           Some row
         end

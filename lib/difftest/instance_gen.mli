@@ -12,6 +12,11 @@
     order. [rows] bounds the row count per table (default 6). *)
 val tables : rng:Random.State.t -> ?rows:int -> Catalog.t -> (string * Engine.Relation.row list) list
 
+(** A value from the FLOAT pool: the integers 0..3 as floats (equal to
+    INT values under [Value.compare_total]) and 1234567.0 / 1234568.0,
+    which differ but print alike under [%g]. *)
+val float_value : Random.State.t -> Sqlval.Value.t
+
 (** Load generated rows into a fresh database. *)
 val database : Catalog.t -> (string * Engine.Relation.row list) list -> Engine.Database.t
 

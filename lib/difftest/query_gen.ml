@@ -58,7 +58,14 @@ let const_for rng = function
   | R.Tint -> Value.Int (Random.State.int rng 4)
   | R.Tstring -> Value.String (pick rng [ "a"; "b"; "c" ])
   | R.Tbool -> Value.Bool (Random.State.bool rng)
-  | R.Tfloat -> Value.Float (float_of_int (Random.State.int rng 4))
+  | R.Tfloat -> Instance_gen.float_value rng
+
+(* INT and FLOAT columns compare numerically, so equalities may mix them *)
+let comparable a b =
+  a = b
+  || match a, b with
+     | (R.Tint | R.Tfloat), (R.Tint | R.Tfloat) -> true
+     | _ -> false
 
 let any_cmp rng = pick rng [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ]
 
@@ -70,7 +77,7 @@ let rec atom rng cols ~depth =
   match Random.State.int rng 8 with
   | 0 | 1 -> A.Cmp (any_cmp rng, sc, A.Const (const_for rng c.ctype))
   | 2 ->
-    (match List.filter (fun c' -> c'.ctype = c.ctype && c' <> c) cols with
+    (match List.filter (fun c' -> comparable c'.ctype c.ctype && c' <> c) cols with
      | [] -> A.Cmp (A.Eq, sc, A.Const (const_for rng c.ctype))
      | peers -> A.Cmp (A.Eq, sc, A.Col (pick rng peers).attr))
   | 3 -> A.Cmp (A.Eq, sc, A.Host (pick rng [ "H1"; "H2" ]))
@@ -103,7 +110,7 @@ let exists_atom rng cat outer_cols =
   let inner = cols_of_occurrence ~corr:"E1" def in
   let correlation =
     let ic = pick rng inner in
-    match List.filter (fun c -> c.ctype = ic.ctype) outer_cols with
+    match List.filter (fun c -> comparable c.ctype ic.ctype) outer_cols with
     | [] -> A.Cmp (A.Eq, A.Col ic.attr, A.Const (const_for rng ic.ctype))
     | peers -> A.Cmp (A.Eq, A.Col ic.attr, A.Col (pick rng peers).attr)
   in

@@ -27,6 +27,7 @@ let gen_table rng ~index ~parents =
             match Random.State.int rng 10 with
             | 0 | 1 -> R.Tstring
             | 2 -> R.Tbool
+            | 3 -> R.Tfloat
             | _ -> R.Tint
         in
         { A.cd_name = Printf.sprintf "C%d" (i + 1);

@@ -119,17 +119,16 @@ let validate t =
          primary keys additionally reject NULL *)
       List.iter
         (fun (k : Catalog.key) ->
-          let idxs = List.map col_index k.key_cols in
-          let seen = Hashtbl.create 64 in
+          let idxs = Array.of_list (List.map col_index k.key_cols) in
+          let seen = Relation.Row_tbl.create 64 in
           List.iter
             (fun row ->
-              let key_vals = List.map (fun i -> row.(i)) idxs in
-              if k.key_primary && List.exists Value.is_null key_vals then
+              let tag = Relation.project idxs row in
+              if k.key_primary && Array.exists Value.is_null tag then
                 violations := Null_in_primary_key (name, row) :: !violations;
-              let tag = Relation.key_of_values key_vals in
-              if Hashtbl.mem seen tag then
+              if Relation.Row_tbl.mem seen tag then
                 violations := Duplicate_key (name, k.key_cols, row) :: !violations
-              else Hashtbl.add seen tag ())
+              else Relation.Row_tbl.add seen tag ())
             rows)
         def.Catalog.tbl_keys;
       (* referential constraints: every fully non-null FK value must have
@@ -142,31 +141,29 @@ let validate t =
             let ref_cols = Catalog.resolve_fk t.cat fk in
             let ref_schema = ref_def.Catalog.tbl_schema in
             let ref_idx =
-              List.map
-                (fun c ->
-                  Schema.Relschema.index_of ref_schema
-                    (Schema.Attr.make ~rel:ref_def.Catalog.tbl_name ~name:c))
-                ref_cols
+              Array.of_list
+                (List.map
+                   (fun c ->
+                     Schema.Relschema.index_of ref_schema
+                       (Schema.Attr.make ~rel:ref_def.Catalog.tbl_name ~name:c))
+                   ref_cols)
             in
-            let parents = Hashtbl.create 64 in
+            let parents = Relation.Row_tbl.create 64 in
             List.iter
               (fun prow ->
-                let tag =
-                  Relation.key_of_values (List.map (fun i -> prow.(i)) ref_idx)
-                in
-                Hashtbl.replace parents tag ())
+                Relation.Row_tbl.replace parents (Relation.project ref_idx prow) ())
               (cell t fk.Catalog.fk_table).rows;
-            let fk_idx = List.map col_index fk.Catalog.fk_cols in
+            let fk_idx = Array.of_list (List.map col_index fk.Catalog.fk_cols) in
             List.iter
               (fun row ->
-                let vals = List.map (fun i -> row.(i)) fk_idx in
-                if not (List.exists Value.is_null vals) then begin
-                  let tag = Relation.key_of_values vals in
-                  if not (Hashtbl.mem parents tag) then
-                    violations :=
-                      Dangling_reference (name, fk.Catalog.fk_cols, row)
-                      :: !violations
-                end)
+                let tag = Relation.project fk_idx row in
+                if
+                  (not (Array.exists Value.is_null tag))
+                  && not (Relation.Row_tbl.mem parents tag)
+                then
+                  violations :=
+                    Dangling_reference (name, fk.Catalog.fk_cols, row)
+                    :: !violations)
               rows)
         def.Catalog.tbl_foreign_keys;
       (* check constraints: violated only when definitely false *)

@@ -4,7 +4,10 @@
     projections, products, hash joins, and DISTINCT set operations stream
     (a join's build side and a set operation's right side are drained on
     the first pull, never at compile time); aggregation and ALL set
-    operations are blocking and run behind deferred sources. Compiling a
+    operations are blocking and run behind deferred sources. Aggregation
+    is one pass of hash grouping with running accumulators: NULL keys
+    form one group, groups are emitted in first-seen order, and the
+    output claims no order. Compiling a
     plan therefore never executes it — the planner compiles purely to
     inspect order provenance ({!distinct_stream}).
 

@@ -128,10 +128,10 @@ let product ?(tick = no_op) left right =
    means the row can match nothing (unknown, not equal), so it is dropped
    from both the build table and the probe. [semi_join ~null_equal:true]
    switches to the null-comparison total order used by set operations. *)
-let join_key ~null_equal row idxs =
-  let vals = List.map (fun i -> row.(i)) idxs in
-  if (not null_equal) && List.exists Value.is_null vals then None
-  else Some (Relation.key_of_values vals)
+let join_key ~null_equal idxs row =
+  let key = Relation.project idxs row in
+  if (not null_equal) && Array.exists Value.is_null key then None
+  else Some key
 
 let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     ~build_key probe build =
@@ -141,6 +141,8 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
      key (the planner certified the build join columns cover a candidate
      key, so a bucket can never hold two rows) and each matching probe
      early-exits with that row instead of walking a list. *)
+  let probe_key = Array.of_list probe_key
+  and build_key = Array.of_list build_key in
   let table = ref None in
   let force_table () =
     match !table with
@@ -148,19 +150,21 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     | None ->
       if unique_build then
         stats.Stats.unique_builds <- stats.Stats.unique_builds + 1;
-      let tbl = Hashtbl.create 256 in
+      let tbl = Relation.Row_tbl.create 256 in
       let rec drain () =
         match build.next () with
         | None -> ()
         | Some row ->
           stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-          (match join_key ~null_equal:false row build_key with
+          (match join_key ~null_equal:false build_key row with
            | None -> ()
            | Some k ->
-             if unique_build then Hashtbl.replace tbl k [ row ]
+             if unique_build then Relation.Row_tbl.replace tbl k [ row ]
              else
-               Hashtbl.replace tbl k
-                 (row :: Option.value ~default:[] (Hashtbl.find_opt tbl k)));
+               Relation.Row_tbl.replace tbl k
+                 (row
+                 :: Option.value ~default:[]
+                      (Relation.Row_tbl.find_opt tbl k)));
           drain ()
       in
       drain ();
@@ -185,10 +189,10 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
          let tbl = force_table () in
          stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
          stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-         (match join_key ~null_equal:false x probe_key with
+         (match join_key ~null_equal:false probe_key x with
           | None -> pull ()
           | Some k ->
-            (match Hashtbl.find_opt tbl k with
+            (match Relation.Row_tbl.find_opt tbl k with
              | None -> pull ()
              | Some [ y ] when unique_build ->
                stats.Stats.probe_early_exits <-
@@ -215,7 +219,7 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
       (fun () ->
         probe.close ();
         build.close ();
-        table := Some (Hashtbl.create 1);
+        table := Some (Relation.Row_tbl.create 1);
         current := None;
         pending := []);
   }
@@ -224,20 +228,22 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
     ~build_key probe build =
   (* Output schema and order are the probe's: the operator only decides,
      per probe row, whether a build match exists ([anti] inverts). *)
+  let probe_key = Array.of_list probe_key
+  and build_key = Array.of_list build_key in
   let table = ref None in
   let force_table () =
     match !table with
     | Some tbl -> tbl
     | None ->
-      let tbl = Hashtbl.create 256 in
+      let tbl = Relation.Row_tbl.create 256 in
       let rec drain () =
         match build.next () with
         | None -> ()
         | Some row ->
           stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-          (match join_key ~null_equal row build_key with
+          (match join_key ~null_equal build_key row with
            | None -> ()
-           | Some k -> Hashtbl.replace tbl k ());
+           | Some k -> Relation.Row_tbl.replace tbl k ());
           drain ()
       in
       drain ();
@@ -252,9 +258,9 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
       stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
       stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
       let matched =
-        match join_key ~null_equal x probe_key with
+        match join_key ~null_equal probe_key x with
         | None -> false
-        | Some k -> Hashtbl.mem tbl k
+        | Some k -> Relation.Row_tbl.mem tbl k
       in
       if matched <> anti then Some x else pull ()
   in
@@ -265,7 +271,7 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
       (fun () ->
         probe.close ();
         build.close ();
-        table := Some (Hashtbl.create 1));
+        table := Some (Relation.Row_tbl.create 1));
   }
 
 (* Materializing ORDER BY — the ablation baseline the planner elides when

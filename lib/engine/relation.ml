@@ -50,8 +50,7 @@ module Row_tbl = Hashtbl.Make (struct
   let hash = hash_row
 end)
 
-let key_of_values vs = String.concat "\x00" (List.map Value.to_string vs)
-let key_of_row (r : row) = key_of_values (Array.to_list r)
+let project idxs (r : row) : row = Array.map (fun i -> r.(i)) idxs
 
 let dedup_sorted ?(tick = fun () -> ()) rows =
   match rows with

@@ -31,12 +31,12 @@ val hash_row : row -> int
     shared state container of hash-based duplicate elimination. *)
 module Row_tbl : Hashtbl.S with type key = row
 
-(** Canonical ['\x00']-separated serialization of a value list — the one
-    key format used by hash joins, EXISTS indexes, and key-constraint
-    validation. *)
-val key_of_values : Sqlval.Value.t list -> string
-
-val key_of_row : row -> string
+(** [project idxs row] is the values of [row] at [idxs], in order — the
+    one key format of hash joins, EXISTS indexes and key-constraint
+    validation (and what hash aggregation hashes with {!hash_row}),
+    looked up through {!Row_tbl} so key equality is {!equal_rows}: typed
+    values, never their printed form. *)
+val project : int array -> row -> row
 
 (** Remove adjacent duplicates from a list sorted by {!compare_rows};
     [tick] counts one call per row-to-row comparison. *)

@@ -186,6 +186,12 @@ let rec query_spec cat stats (q : Sql.Ast.query_spec) =
     | Sql.Ast.All -> 0.0
     | Sql.Ast.Distinct -> out_card *. log2 out_card
   in
+  (* GROUP BY pays one hash probe per input row (the engine's hash
+     aggregation); removing a grouping whose groups are all singletons
+     saves exactly that *)
+  let group_cost =
+    match q.Sql.Ast.group_by with [] -> 0.0 | _ -> out_card
+  in
   (* ORDER BY pays a materializing sort of the output unless
      [Optimizer.Order_plan] certifies an elision; constant across the
      rewrite candidates (rewrites preserve the ORDER BY clause) *)
@@ -193,7 +199,7 @@ let rec query_spec cat stats (q : Sql.Ast.query_spec) =
     match q.Sql.Ast.order_by with [] -> 0.0 | _ -> sort ~card:out_card
   in
   {
-    cost = access_cost +. exists_cost +. distinct_cost +. order_cost;
+    cost = access_cost +. exists_cost +. distinct_cost +. group_cost +. order_cost;
     card = max out_card 0.0;
   }
 

@@ -74,7 +74,17 @@ let ge3 = rel3 (fun c -> c >= 0)
 let to_string = function
   | Null -> "NULL"
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
+  | Float f when Float.is_integer f && Float.abs f < 1e15 ->
+    (* the ".0" keeps it a float when read back *)
+    Printf.sprintf "%.1f" f
+  | Float f ->
+    (* the shortest %g precision from 6 up that reads back as [f]: plain
+       %g prints 1234567.5 and 1234568.5 alike *)
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 6
   | String s -> Printf.sprintf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
   | Bool b -> if b then "TRUE" else "FALSE"
 

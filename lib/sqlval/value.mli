@@ -42,7 +42,10 @@ val ge3 : t -> t -> Truth.t
 
 val pp : Format.formatter -> t -> unit
 
-(** SQL literal syntax: strings quoted, [NULL] uppercase. *)
+(** SQL literal syntax: strings quoted, [NULL] uppercase. Floats read
+    back exactly and as floats: integral ones below 10{^15} print with a
+    [.0] ([1234567.0]), others at the shortest [%g] precision (6 or more
+    digits) that reads back as the same value. *)
 val to_string : t -> string
 
 (** Type name used in error messages ("int", "string", ...). *)

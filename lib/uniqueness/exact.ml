@@ -63,11 +63,13 @@ let unsupported_reason (q : Sql.Ast.query_spec) =
    represent — the search then claimed Unique unsoundly. [build_domains]
    computes the need per type and flags the domains incomplete when it
    exceeds [max_fresh]; an exhausted search over incomplete domains
-   reports [Unsupported], never [Unique]. *)
+   reports [Unsupported], never [Unique]. INT and FLOAT compare
+   numerically, so they share one pool (the FLOAT values are the INT
+   values as floats): an INT = FLOAT equality must be realizable. *)
 let fresh_pool n = function
   | Schema.Relschema.Tint -> List.init n (fun i -> Value.Int (900001 + i))
   | Schema.Relschema.Tfloat ->
-    List.init n (fun i -> Value.Float (900001.5 +. float_of_int i))
+    List.init n (fun i -> Value.Float (float_of_int (900001 + i)))
   | Schema.Relschema.Tstring ->
     List.init n (fun i -> Value.String (Printf.sprintf "#V%d" (i + 1)))
   | Schema.Relschema.Tbool -> [ Value.Bool true; Value.Bool false ]
@@ -240,10 +242,15 @@ let build_domains cat (q : Sql.Ast.query_spec) =
     | Sql.Ast.Exists _ -> ()
   in
   count_pred false q.where;
+  (* INT and FLOAT cells draw on one numeric pool *)
+  let pool_class = function
+    | Schema.Relschema.Tfloat -> Schema.Relschema.Tint
+    | ty -> ty
+  in
   let cells = Hashtbl.create 4 in
   Attr.Set.iter
     (fun a ->
-      match type_of_attr a with
+      match Option.map pool_class (type_of_attr a) with
       | Some ty ->
         Hashtbl.replace cells ty
           (2 + Option.value ~default:0 (Hashtbl.find_opt cells ty))
@@ -252,7 +259,9 @@ let build_domains cat (q : Sql.Ast.query_spec) =
   let complete = ref true in
   let pool_of_type ty =
     (* two base values (key pairs, hosts) plus two per coupled column *)
-    let need = 2 + Option.value ~default:0 (Hashtbl.find_opt cells ty) in
+    let need =
+      2 + Option.value ~default:0 (Hashtbl.find_opt cells (pool_class ty))
+    in
     let n =
       match ty with
       | Schema.Relschema.Tbool -> 2

@@ -215,6 +215,54 @@ let test_hash_join_null_keys () =
   let r = run db "SELECT X.K, Y.K FROM X, Y WHERE X.J = Y.J" in
   check_rows "only the non-null pair" [ [ v_int 2; v_int 2 ] ] r
 
+(* Hash keys are typed values, not their printed form: 1234567.0 and
+   1234568.0 both print as 1.23457e+06 under %g, and Int 7654321 equals
+   Float 7654321.0. *)
+let float_key_db () =
+  let cat =
+    List.fold_left Catalog.add_ddl Catalog.empty
+      [ "CREATE TABLE A (K INT NOT NULL, X FLOAT, PRIMARY KEY (K))";
+        "CREATE TABLE B (K INT NOT NULL, Y FLOAT, PRIMARY KEY (K))" ]
+  in
+  let db = DB.create cat in
+  DB.load db "A"
+    [ [| v_int 1; Value.Float 1234567.0 |]; [| v_int 2; v_int 7654321 |] ];
+  DB.load db "B"
+    [ [| v_int 1; Value.Float 1234568.0 |];
+      [| v_int 2; Value.Float 7654321.0 |] ];
+  db
+
+let test_hash_join_typed_keys () =
+  let db = float_key_db () in
+  let q = "SELECT A.K, B.K FROM A A, B B WHERE A.X = B.Y" in
+  let nested =
+    { (Exec.default_config ()) with Exec.join_impl = Exec.Nested_join }
+  in
+  check_rows "nested loop" [ [ v_int 2; v_int 2 ] ] (run ~config:nested db q);
+  check_rows "hash join" [ [ v_int 2; v_int 2 ] ] (run db q);
+  let indexed =
+    { (Exec.default_config ()) with Exec.exists_impl = Exec.Indexed_exists }
+  in
+  let q = "SELECT A.K FROM A A WHERE EXISTS (SELECT * FROM B B WHERE B.Y = A.X)" in
+  check_rows "naive EXISTS" [ [ v_int 2 ] ] (run db q);
+  check_rows "indexed EXISTS" [ [ v_int 2 ] ] (run ~config:indexed db q);
+  check_rows "semi-join INTERSECT" [ [ Value.Float 7654321.0 ] ]
+    (run db "SELECT B.Y FROM B B INTERSECT SELECT A.X FROM A A")
+
+let test_validate_float_key () =
+  let cat =
+    Catalog.add_ddl Catalog.empty
+      "CREATE TABLE F (X FLOAT NOT NULL, PRIMARY KEY (X))"
+  in
+  let db = DB.create cat in
+  DB.load db "F" [ [| Value.Float 1234567.0 |]; [| Value.Float 1234568.0 |] ];
+  Alcotest.(check int) "keys that print alike are distinct" 0
+    (List.length (DB.validate db));
+  DB.insert db "F" [| v_int 1234567 |];
+  Alcotest.(check bool) "Int 1234567 duplicates Float 1234567.0" true
+    (List.exists (function DB.Duplicate_key _ -> true | _ -> false)
+       (DB.validate db))
+
 let test_stats_sort_counted () =
   let db = small_db () in
   let cfg = Exec.default_config () in
@@ -805,6 +853,8 @@ let () =
             test_hash_join_null_keys;
           Alcotest.test_case "indexed EXISTS agrees with naive" `Quick
             test_indexed_exists_agrees;
+          Alcotest.test_case "hash keys are typed values" `Quick
+            test_hash_join_typed_keys;
           Alcotest.test_case "stats count sorts" `Quick test_stats_sort_counted;
           Alcotest.test_case "unbound references" `Quick test_unbound_errors;
         ] );
@@ -816,6 +866,8 @@ let () =
           Alcotest.test_case "check constraint" `Quick test_validate_check;
           Alcotest.test_case "unique with nulls" `Quick
             test_validate_unique_nulls;
+          Alcotest.test_case "float keys compare as values" `Quick
+            test_validate_float_key;
         ] );
       ( "workload",
         [

@@ -115,8 +115,12 @@ let test_global_aggregate_empty_input () =
     Catalog.add_ddl Catalog.empty "CREATE TABLE E (K INT NOT NULL, PRIMARY KEY (K))"
   in
   let db = DB.create cat in
-  let r = run db "SELECT COUNT(*) FROM E" in
-  check_rows "count over empty" [ [ v_int 0 ] ] r;
+  let r =
+    run db "SELECT COUNT(*), SUM(E.K), MIN(E.K), MAX(E.K), AVG(E.K) FROM E"
+  in
+  check_rows "one row over empty input"
+    [ [ v_int 0; Value.Null; Value.Null; Value.Null; Value.Null ] ]
+    r;
   (* but grouping an empty input yields no groups *)
   let r = run db "SELECT E.K, COUNT(*) FROM E GROUP BY E.K" in
   Alcotest.(check int) "no groups" 0 (Relation.cardinality r)
@@ -161,6 +165,203 @@ let test_select_not_in_group_by_rejected () =
   match run db "SELECT T.V, COUNT(*) FROM T GROUP BY T.G" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
+
+(* ---- hash aggregation against the sort-then-split reference ---- *)
+
+(* The reference: the engine's grouping before hash aggregation — stably
+   sort the input on the group key under [Value.compare_total], split it
+   into runs of equal keys, and compute each aggregate over the run's
+   operands. Returns the output rows in key order. *)
+let reference_aggregate rows ~key ~cells =
+  let compare_keys a b =
+    List.fold_left
+      (fun c i -> if c <> 0 then c else Value.compare_total a.(i) b.(i))
+      0 key
+  in
+  let groups =
+    match key with
+    | [] -> [ rows ]
+    | _ ->
+      let rec split = function
+        | [] -> []
+        | row :: rest ->
+          let rec take acc = function
+            | row' :: rest' when compare_keys row row' = 0 ->
+              take (row' :: acc) rest'
+            | remaining -> (List.rev acc, remaining)
+          in
+          let group, remaining = take [ row ] rest in
+          group :: split remaining
+      in
+      split (List.stable_sort compare_keys rows)
+  in
+  let numeric_sum vs =
+    List.fold_left
+      (fun acc v ->
+        match v with
+        | Value.Int i -> acc +. float_of_int i
+        | Value.Float f -> acc +. f
+        | _ -> acc)
+      0.0 vs
+  in
+  let compute fn operand group =
+    let operands =
+      match operand with
+      | None -> List.map (fun _ -> Value.Int 1) group
+      | Some i ->
+        List.filter
+          (fun v -> not (Value.is_null v))
+          (List.map (fun row -> row.(i)) group)
+    in
+    match fn, operands with
+    | Count, vs -> Value.Int (List.length vs)
+    | (Sum | Min | Max | Avg), [] -> Value.Null
+    | Sum, vs ->
+      if List.for_all (function Value.Int _ -> true | _ -> false) vs then
+        Value.Int
+          (List.fold_left
+             (fun acc v -> match v with Value.Int i -> acc + i | _ -> acc)
+             0 vs)
+      else Value.Float (numeric_sum vs)
+    | Min, v :: vs ->
+      List.fold_left
+        (fun m w -> if Value.compare_total w m < 0 then w else m)
+        v vs
+    | Max, v :: vs ->
+      List.fold_left
+        (fun m w -> if Value.compare_total w m > 0 then w else m)
+        v vs
+    | Avg, vs ->
+      Value.Float (numeric_sum vs /. float_of_int (List.length vs))
+  in
+  List.map
+    (fun group ->
+      Array.of_list
+        (List.map
+           (function
+             | `Key i ->
+               (match group with row :: _ -> row.(i) | [] -> Value.Null)
+             | `Agg (fn, operand) -> compute fn operand group)
+           cells))
+    groups
+
+(* Same constructor and, for floats, the same bits: stricter than
+   [Value.equal], which equates Int 1 with Float 1.0. *)
+let identical a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let identical_bags xs ys =
+  let sort = List.sort Relation.compare_rows in
+  List.length xs = List.length ys
+  && List.for_all2
+       (fun x y -> Array.for_all2 identical x y)
+       (sort xs) (sort ys)
+
+let agg_db rows =
+  let cat =
+    Catalog.add_ddl Catalog.empty
+      "CREATE TABLE A (K INT NOT NULL, G FLOAT, H INT, V FLOAT, PRIMARY KEY (K))"
+  in
+  let db = DB.create cat in
+  DB.load db "A" (List.mapi (fun k (g, h, v) -> [| v_int k; g; h; v |]) rows);
+  db
+
+(* columns of A: K=0, G=1, H=2, V=3 *)
+let agg_select =
+  "COUNT(*), COUNT(A.V), SUM(A.V), MIN(A.V), MAX(A.V), AVG(A.V)"
+
+let agg_cells =
+  [ `Agg (Count, None); `Agg (Count, Some 3); `Agg (Sum, Some 3);
+    `Agg (Min, Some 3); `Agg (Max, Some 3); `Agg (Avg, Some 3) ]
+
+let gen_agg_rows =
+  let open QCheck2.Gen in
+  (* group keys: NULL, Int n and Float n for the same n, one fraction,
+     and a wide range so that the group table grows *)
+  let key =
+    oneof
+      [ pure Value.Null;
+        map v_int (int_range 0 2);
+        map (fun n -> Value.Float (float_of_int n)) (int_range 0 2);
+        pure (Value.Float 0.5);
+        map v_int (int_range 3 300);
+        map (fun n -> Value.Float (float_of_int n)) (int_range 3 300) ]
+  in
+  let operand =
+    oneof
+      [ pure Value.Null;
+        map v_int (int_range (-5) 5);
+        map (fun n -> Value.Float (float_of_int n)) (int_range (-5) 5);
+        map (fun x -> Value.Float x) (float_range (-1e3) 1e3);
+        pure (Value.Float 1234567.0);
+        pure (Value.Float 1e-3) ]
+  in
+  list_size (int_range 0 150)
+    (triple key (oneof [ pure Value.Null; map v_int (int_range 0 1) ]) operand)
+
+let print_agg_rows rows =
+  String.concat "; "
+    (List.map
+       (fun (g, h, v) ->
+         Printf.sprintf "(%s, %s, %s)" (Value.to_string g) (Value.to_string h)
+           (Value.to_string v))
+       rows)
+
+let prop_hash_matches_reference =
+  QCheck2.Test.make ~name:"hash aggregation = sort-then-split reference"
+    ~count:300 ~print:print_agg_rows gen_agg_rows (fun rows ->
+      let db = agg_db rows in
+      let input = (DB.table db "A").Relation.rows in
+      let grouped =
+        run db
+          ("SELECT A.G, A.H, " ^ agg_select ^ " FROM A GROUP BY A.G, A.H")
+      in
+      let global = run db ("SELECT " ^ agg_select ^ " FROM A") in
+      identical_bags grouped.Relation.rows
+        (reference_aggregate input ~key:[ 1; 2 ]
+           ~cells:(`Key 1 :: `Key 2 :: agg_cells))
+      && identical_bags global.Relation.rows
+           (reference_aggregate input ~key:[] ~cells:agg_cells))
+
+let test_int_float_one_group () =
+  let first_seen rows expected =
+    let r = run (agg_db rows) "SELECT A.G, COUNT(*) FROM A GROUP BY A.G" in
+    match r.Relation.rows with
+    | [ [| g; n |] ] ->
+      Alcotest.(check bool) "key is the first-seen value" true
+        (identical g expected);
+      Alcotest.(check bool) "both rows counted" true (identical n (v_int 2))
+    | _ -> Alcotest.fail "expected one group"
+  in
+  first_seen
+    [ (Value.Float 1.0, Value.Null, Value.Null); (v_int 1, Value.Null, Value.Null) ]
+    (Value.Float 1.0);
+  first_seen
+    [ (v_int 1, Value.Null, Value.Null); (Value.Float 1.0, Value.Null, Value.Null) ]
+    (v_int 1)
+
+let test_first_seen_order () =
+  let db = small_db () in
+  let r = run db "SELECT T.G, COUNT(*) FROM T GROUP BY T.G" in
+  Alcotest.(check (list (Alcotest.testable Value.pp Value.equal_null)))
+    "groups in order of first appearance"
+    [ v_str "a"; v_str "b"; Value.Null ]
+    (List.map (fun row -> row.(0)) r.Relation.rows)
+
+let test_grouping_sorts_nothing () =
+  let db = small_db () in
+  let config = Exec.default_config () in
+  ignore
+    (Exec.run_sql ~config db ~hosts:[]
+       "SELECT T.G, COUNT(*) FROM T GROUP BY T.G");
+  let st = config.Exec.stats in
+  Alcotest.(check int) "no sort" 0 st.Engine.Stats.sorted_rows;
+  Alcotest.(check int) "no comparisons" 0 st.Engine.Stats.comparisons;
+  Alcotest.(check int) "one hash probe per input row" 6
+    st.Engine.Stats.hash_probes
 
 (* ---- analysis and rewrite ---- *)
 
@@ -288,6 +489,16 @@ let () =
           Alcotest.test_case "grouped join" `Quick test_group_by_join;
           Alcotest.test_case "non-grouped column rejected" `Quick
             test_select_not_in_group_by_rejected;
+        ] );
+      ( "hash-aggregation",
+        [
+          QCheck_alcotest.to_alcotest prop_hash_matches_reference;
+          Alcotest.test_case "Int 1 and Float 1.0 share a group" `Quick
+            test_int_float_one_group;
+          Alcotest.test_case "first-seen group order" `Quick
+            test_first_seen_order;
+          Alcotest.test_case "grouping sorts nothing" `Quick
+            test_grouping_sorts_nothing;
         ] );
       ( "rewrite",
         [

@@ -41,6 +41,30 @@ let test_distinct_removal_preferred () =
     (best.Optimizer.Planner.estimate.Optimizer.Cost.cost
      < baseline.Optimizer.Planner.estimate.Optimizer.Cost.cost)
 
+(* paper section 8: grouping on a key makes every group a singleton *)
+let x1_query =
+  "SELECT P.SNO, P.PNO, COUNT(*), MAX(P.OEM_PNO) FROM PARTS P GROUP BY \
+   P.SNO, P.PNO"
+
+let test_group_by_removal_preferred () =
+  let best = Optimizer.Planner.choose catalog stats (parse x1_query) in
+  Alcotest.(check string) "group-by-removed wins" "group-by-removed"
+    best.Optimizer.Planner.name;
+  let baseline =
+    Optimizer.Planner.choose ~with_rewrites:false catalog stats (parse x1_query)
+  in
+  Alcotest.(check bool) "cheaper than as-written" true
+    (best.Optimizer.Planner.estimate.Optimizer.Cost.cost
+     < baseline.Optimizer.Planner.estimate.Optimizer.Cost.cost)
+
+let test_coarse_group_by_kept () =
+  let best =
+    Optimizer.Planner.choose catalog stats
+      (parse "SELECT P.COLOR, COUNT(*) FROM PARTS P GROUP BY P.COLOR")
+  in
+  Alcotest.(check string) "grouping that is not a key stays" "as-written"
+    best.Optimizer.Planner.name
+
 let test_subquery_to_join_considered () =
   let q =
     parse
@@ -78,6 +102,14 @@ let test_distinct_costs_extra () =
   let ea = Optimizer.Cost.query catalog stats qa in
   Alcotest.(check bool) "DISTINCT adds sort cost" true
     (ed.Optimizer.Cost.cost > ea.Optimizer.Cost.cost)
+
+let test_group_by_costs_extra () =
+  let qg = parse "SELECT P.COLOR, COUNT(*) FROM PARTS P GROUP BY P.COLOR" in
+  let qa = parse "SELECT ALL P.COLOR FROM PARTS P" in
+  let eg = Optimizer.Cost.query catalog stats qg in
+  let ea = Optimizer.Cost.query catalog stats qa in
+  Alcotest.(check (float 1e-6)) "GROUP BY adds one probe per input row"
+    (ea.Optimizer.Cost.cost +. 10_000.0) eg.Optimizer.Cost.cost
 
 let test_key_equality_selectivity () =
   (* pinning the full key of PARTS gives cardinality about 1 *)
@@ -219,6 +251,10 @@ let () =
           Alcotest.test_case "ablation baseline" `Quick test_ablation_baseline;
           Alcotest.test_case "distinct removal preferred" `Quick
             test_distinct_removal_preferred;
+          Alcotest.test_case "group-by removal preferred" `Quick
+            test_group_by_removal_preferred;
+          Alcotest.test_case "coarse GROUP BY kept" `Quick
+            test_coarse_group_by_kept;
           Alcotest.test_case "subquery-to-join considered" `Quick
             test_subquery_to_join_considered;
           Alcotest.test_case "intersect strategy considered" `Quick
@@ -230,6 +266,8 @@ let () =
             test_cost_monotone_in_cardinality;
           Alcotest.test_case "DISTINCT costs extra" `Quick
             test_distinct_costs_extra;
+          Alcotest.test_case "GROUP BY costs extra" `Quick
+            test_group_by_costs_extra;
           Alcotest.test_case "key equality selectivity" `Quick
             test_key_equality_selectivity;
           Alcotest.test_case "restrict honors key pinning" `Quick

@@ -196,7 +196,17 @@ let test_exact_detects_nonkey_duplicates () =
   Alcotest.(check bool) "COLOR duplicable" false
     (exact_unique "SELECT ALL P.COLOR FROM PARTS P");
   Alcotest.(check bool) "full key unique" true
-    (exact_unique "SELECT ALL P.SNO, P.PNO FROM PARTS P")
+    (exact_unique "SELECT ALL P.SNO, P.PNO FROM PARTS P");
+  (* INT and FLOAT compare numerically, so the search must be able to
+     satisfy an INT = FLOAT equality *)
+  let cat =
+    Catalog.add_ddl Catalog.empty
+      "CREATE TABLE T (I INT NOT NULL, S VARCHAR(5), F FLOAT NOT NULL)"
+  in
+  match Exact.check cat (parse "SELECT ALL T.S FROM T WHERE T.F = T.I") with
+  | Exact.Duplicable _ -> ()
+  | Exact.Unique -> Alcotest.fail "INT = FLOAT: claimed Unique"
+  | Exact.Unsupported reason -> Alcotest.fail ("unsupported: " ^ reason)
 
 let test_exact_range_predicates () =
   (* exact checker handles ranges that Algorithm 1 gives up on: a range
