@@ -639,14 +639,14 @@ let experiment_ab1 () =
     f c
   in
   let run_cfg cfg q = let _, ms, _ = run_timed ~config:cfg d hosts78 q in ms in
-  (* duplicate elimination: sort vs hash *)
+  (* duplicate elimination: sort vs streaming hash *)
   let qd = parse "SELECT DISTINCT P.PNAME, P.COLOR FROM PARTS P" in
   Printf.printf "distinct implementation (4k parts):\n";
   Printf.printf "  sort-based : %8.2f ms\n"
     (run_cfg (Engine.Exec.default_config ()) qd);
   Printf.printf "  hash-based : %8.2f ms\n"
     (run_cfg
-       (cfg_with (fun c -> { c with Engine.Exec.distinct_impl = Engine.Exec.Hash_distinct }))
+       (cfg_with (fun c -> { c with Engine.Exec.distinct_impl = Engine.Exec.Stream_hash }))
        qd);
   (* join implementation: hash equi-join vs filtered product *)
   let qj =
@@ -1587,7 +1587,6 @@ let experiment_distinct_scale () =
   let grp_q = parse Workload.Datagen.group_query in
   let impl_name = function
     | Engine.Exec.Sort_distinct -> "sort"
-    | Engine.Exec.Hash_distinct -> "hash-materializing"
     | Engine.Exec.Stream_hash -> "stream-hash"
     | Engine.Exec.Stream_sorted -> "stream-sorted"
     | Engine.Exec.Stream_elided -> "elided"
@@ -2078,16 +2077,10 @@ let experiment_sort_scale () =
   let q_pair = parse Workload.Datagen.pair_query in
   Printf.printf "\nmerge: %s  (%d rows per side, key order)\n"
     Workload.Datagen.pair_query rows;
-  let hash_impl =
-    (Optimizer.Join_plan.choose ~database:pair_db pair_cat q_pair)
-      .Optimizer.Join_plan.impl
+  let { Optimizer.Physical.join; order = pair_choice; _ } =
+    Optimizer.Physical.plan ~database:pair_db pair_cat q_pair
   in
-  let pair_choice =
-    let config =
-      { (Engine.Exec.default_config ()) with Engine.Exec.join_impl = hash_impl }
-    in
-    Optimizer.Order_plan.choose ~database:pair_db ~config pair_cat q_pair
-  in
+  let hash_impl = join.Optimizer.Join_plan.impl in
   if pair_choice.Optimizer.Order_plan.merge_joins < 1 then
     failwith "SORT_SCALE: planner failed to certify the merge join";
   if pair_choice.Optimizer.Order_plan.impl <> Engine.Exec.Elided_sort then

@@ -108,6 +108,8 @@ let wrap f =
   | Fd.Derive.Unknown_table t -> Printf.eprintf "unknown table: %s\n" t; 1
   | Fd.Derive.Unknown_column a ->
     Printf.eprintf "unknown column: %s\n" (Schema.Attr.to_string a); 1
+  | Uniqueness.Views.Unsupported_view msg ->
+    Printf.eprintf "unsupported view: %s\n" msg; 1
 
 (* ---- analyze ---- *)
 
@@ -269,38 +271,7 @@ let run_cmd =
                    over NULL are false, connectives are classical). The two \
                    agree on null-free data.")
   in
-  let distinct_arg =
-    Arg.(value & opt string "sort"
-         & info [ "distinct-impl" ] ~docv:"IMPL"
-             ~doc:"Duplicate-elimination strategy: sort (materializing \
-                   sort, default), hash (materializing hash set), \
-                   stream-hash (streaming hash set), stream-sorted \
-                   (one-row state when the verified physical order covers \
-                   the projection, hash fallback otherwise), elided \
-                   (pass-through; refused unless Algorithm 1 certifies the \
-                   query duplicate-free), or auto (planner picks elided > \
-                   sorted > hash and narrates why).")
-  in
-  let join_arg =
-    Arg.(value & opt string "hash"
-         & info [ "join-impl" ] ~docv:"IMPL"
-             ~doc:"Join strategy: nested (filter over the block-nested \
-                   product, the ablation baseline), hash (streaming hash \
-                   joins in FROM order, default), or auto (cost-based \
-                   planner picks the join order, certifies unique builds \
-                   via Algorithm 1, and narrates why).")
-  in
-  let sort_arg =
-    Arg.(value & opt string "sort"
-         & info [ "sort-impl" ] ~docv:"IMPL"
-             ~doc:"ORDER BY strategy: sort (materializing stable sort, \
-                   default), elided (pass-through; refused unless the \
-                   order-dependency planner certifies the stream already \
-                   sorted), or auto (planner elides when certified, sorts \
-                   otherwise, certifies merge joins, and narrates why).")
-  in
-  let run sql ddl views sets suppliers limit logic distinct_impl join_impl
-      sort_impl =
+  let run sql ddl views sets suppliers limit logic =
     wrap (fun () ->
         let logic =
           match Sqlval.Logic_mode.of_string logic with
@@ -315,86 +286,16 @@ let run_cmd =
           List.fold_left add_statement (Engine.Database.catalog db) views
         in
         let hosts = List.map parse_binding sets in
-        (* views are merged away before execution, so the loaded database
-           (whose catalog holds only base tables) can run the result *)
-        let q =
-          Uniqueness.Views.expand_query cat (Sql.Parser.parse_query sql)
+        let { Optimizer.Physical.query = q; config = cfg; distinct; join; order } =
+          Optimizer.Physical.plan ~database:db ~logic cat
+            (Sql.Parser.parse_query sql)
         in
-        let distinct_impl =
-          match distinct_impl with
-          | "sort" -> Engine.Exec.Sort_distinct
-          | "hash" -> Engine.Exec.Hash_distinct
-          | "stream-hash" -> Engine.Exec.Stream_hash
-          | "stream-sorted" -> Engine.Exec.Stream_sorted
-          | "elided" ->
-            (* the engine trusts this setting blindly, so the certificate
-               check lives here: no Algorithm 1 YES, no elision *)
-            let certified =
-              match q with
-              | Sql.Ast.Spec spec when spec.Sql.Ast.distinct = Sql.Ast.Distinct ->
-                Uniqueness.Algorithm1.distinct_is_redundant cat spec
-              | _ -> false
-            in
-            if not certified then
-              failwith
-                "--distinct-impl elided: Algorithm 1 did not certify this \
-                 query duplicate-free (use auto to fall back safely)";
-            Engine.Exec.Stream_elided
-          | "auto" ->
-            let choice = Optimizer.Distinct_plan.choose ~database:db cat q in
-            Format.printf "distinct strategy: %s — %s@."
-              choice.Optimizer.Distinct_plan.name
-              choice.Optimizer.Distinct_plan.reason;
-            choice.Optimizer.Distinct_plan.impl
-          | s -> failwith ("--distinct-impl expects sort, hash, stream-hash, \
-                            stream-sorted, elided or auto, got " ^ s)
-        in
-        let join_impl =
-          match join_impl with
-          | "nested" -> Engine.Exec.Nested_join
-          | "hash" -> Engine.Exec.Hash_join
-          | "auto" ->
-            let choice = Optimizer.Join_plan.choose ~database:db cat q in
-            Format.printf "join strategy: %s — %s@."
-              choice.Optimizer.Join_plan.name choice.Optimizer.Join_plan.reason;
-            choice.Optimizer.Join_plan.impl
-          | s -> failwith ("--join-impl expects nested, hash or auto, got " ^ s)
-        in
-        let sort_impl, join_impl =
-          match sort_impl with
-          | "sort" -> (Engine.Exec.Materialize_sort, join_impl)
-          | "elided" | "auto" ->
-            (* the engine trusts the flag blindly, so the certificate check
-               lives in Order_plan: probe under the configuration that will
-               actually run (join strategy changes arrival order) *)
-            let config =
-              { (Engine.Exec.default_config ()) with
-                Engine.Exec.logic; distinct_impl; join_impl }
-            in
-            let choice =
-              Optimizer.Order_plan.choose ~database:db ~config cat q
-            in
-            if sort_impl = "elided"
-               && Sql.Ast.(match q with
-                           | Spec s -> s.order_by <> []
-                           | Setop _ -> false)
-               && choice.Optimizer.Order_plan.impl <> Engine.Exec.Elided_sort
-            then
-              failwith
-                "--sort-impl elided: the order-dependency planner did not \
-                 certify the stream sorted on the requested keys (use auto \
-                 to fall back safely)";
-            Format.printf "order strategy: %s — %s@."
-              choice.Optimizer.Order_plan.name
-              choice.Optimizer.Order_plan.reason;
-            ( choice.Optimizer.Order_plan.impl,
-              choice.Optimizer.Order_plan.join_impl )
-          | s -> failwith ("--sort-impl expects sort, elided or auto, got " ^ s)
-        in
-        let cfg =
-          { (Engine.Exec.default_config ()) with
-            Engine.Exec.logic; distinct_impl; join_impl; sort_impl }
-        in
+        Format.printf "distinct strategy: %s — %s@."
+          distinct.Optimizer.Distinct_plan.name distinct.reason;
+        Format.printf "join strategy: %s — %s@." join.Optimizer.Join_plan.name
+          join.reason;
+        Format.printf "order strategy: %s — %s@."
+          order.Optimizer.Order_plan.name order.reason;
         let r = Engine.Exec.run_query ~config:cfg db ~hosts q in
         let truncated =
           { r with Engine.Relation.rows =
@@ -424,9 +325,12 @@ let run_cmd =
             st.Engine.Stats.sorts st.Engine.Stats.sorted_rows
             st.Engine.Stats.sort_elisions st.Engine.Stats.merge_joins)
   in
-  Cmd.v (Cmd.info "run" ~doc:"Execute a query on a generated supplier database.")
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Execute a query on a generated supplier database under the \
+             physical plan the DISTINCT, join and ORDER BY planners pick.")
     Term.(const run $ sql_arg $ ddl_arg $ view_arg $ set_arg $ size_arg
-          $ limit_arg $ logic_arg $ distinct_arg $ join_arg $ sort_arg)
+          $ limit_arg $ logic_arg)
 
 (* ---- fuzz ---- *)
 
@@ -488,7 +392,7 @@ let fuzz_cmd =
          & info [ "oracle" ] ~docv:"NAME"
              ~doc:"Run only the named oracle group (repeatable). Groups: \
                    uniqueness, rewrite, agreement, symbolic, logic, cache, \
-                   distinct, join, order. Default: all of them.")
+                   distinct, join, order, plan. Default: all of them.")
   in
   let run seed count instances rows cells no_shrink save replay use_cache
       nested_or oracles jobs =
@@ -539,7 +443,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differential soundness fuzzing: random schemas, queries and \
              instances judged by the uniqueness, rewrite, agreement, \
-             symbolic, logic, cache, distinct, join and order oracles \
+             symbolic, logic, cache, distinct, join, order and plan oracles \
              (restrict with --oracle). \
              Generation is sequential on the seeded RNG and judging fans \
              out over --jobs domains, so the report is byte-identical at \

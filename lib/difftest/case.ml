@@ -14,7 +14,11 @@ type t = {
 
 let catalog c = Schema_gen.catalog_of_ddl c.ddl
 
-let database c inst = Instance_gen.database (catalog c) inst.rows
+(* even positions (the first instance included, so it survives shrinking)
+   load ordered, odd ones keep generation order: a fixed rule, so replay,
+   --cache and --jobs see the same databases *)
+let database ?(index = 0) c inst =
+  Instance_gen.database ~ordered:(index mod 2 = 0) (catalog c) inst.rows
 
 let generate ~rng ?(instances = 3) ?(rows = 6) ?(nested_or = 0.0) () =
   let ddl = Schema_gen.generate ~rng in

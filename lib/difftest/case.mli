@@ -20,7 +20,11 @@ type t = {
 (** @raise Failure on DDL the catalog rejects. *)
 val catalog : t -> Catalog.t
 
-val database : t -> instance -> Engine.Database.t
+(** The database of the instance at position [index] (default 0) of
+    the case. Even positions load every table sorted on its first column,
+    with a verified physical order ({!Instance_gen.database}
+    [~ordered:true]); odd positions keep generation order. *)
+val database : ?index:int -> t -> instance -> Engine.Database.t
 
 (** Random case: schema, query over it, [instances] constraint-satisfying
     databases with host bindings (defaults: 3 instances, ≤6 rows/table).

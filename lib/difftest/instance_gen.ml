@@ -144,9 +144,19 @@ let tables ~rng ?(rows = 6) cat =
       (name, rows))
     defs
 
-let database cat rows =
+let database ?(ordered = false) cat rows =
   let db = Engine.Database.create cat in
-  List.iter (fun (name, rs) -> Engine.Database.load db name rs) rows;
+  List.iter
+    (fun (name, rs) ->
+      match R.columns (Catalog.find_exn cat name).Catalog.tbl_schema with
+      | first :: _ when ordered ->
+        let rs =
+          List.stable_sort (fun a b -> Value.compare_total a.(0) b.(0)) rs
+        in
+        Engine.Database.load_sorted db name rs
+          ~order:[ first.R.attr.Schema.Attr.name ]
+      | _ -> Engine.Database.load db name rs)
+    rows;
   db
 
 let hosts ~rng q =

@@ -17,8 +17,16 @@ val tables : rng:Random.State.t -> ?rows:int -> Catalog.t -> (string * Engine.Re
     which differ but print alike under [%g]. *)
 val float_value : Random.State.t -> Sqlval.Value.t
 
-(** Load generated rows into a fresh database. *)
-val database : Catalog.t -> (string * Engine.Relation.row list) list -> Engine.Database.t
+(** Load generated rows into a fresh database. With [~ordered:true]
+    (default [false]) every table is stably sorted on its first column
+    and loaded through [Engine.Database.load_sorted], so the instance
+    carries verified physical orders for the planners to exploit
+    (sorted-unique DISTINCT, sort elision, merge joins). *)
+val database :
+  ?ordered:bool ->
+  Catalog.t ->
+  (string * Engine.Relation.row list) list ->
+  Engine.Database.t
 
 (** One [Value.Int] binding per host variable of the query. *)
 val hosts : rng:Random.State.t -> Sql.Ast.query -> (string * Sqlval.Value.t) list

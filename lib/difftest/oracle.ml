@@ -20,7 +20,7 @@ let on_instances (c : Case.t) check =
   let rec go i = function
     | [] -> Pass
     | inst :: rest ->
-      let db = Case.database c inst in
+      let db = Case.database ~index:i c inst in
       (match check db inst.Case.hosts i with
        | None -> go (i + 1) rest
        | Some msg -> Fail msg)
@@ -314,7 +314,7 @@ let logic_agreement (c : Case.t) =
             let bad = ref None in
             List.iteri
               (fun i inst ->
-                let db = Case.database c inst in
+                let db = Case.database ~index:i c inst in
                 let run logic =
                   let config =
                     { (Engine.Exec.default_config ()) with
@@ -465,7 +465,7 @@ let cache_consistency (c : Case.t) =
 
 (* Operator-agreement oracle: every duplicate-elimination strategy is one
    implementation of the same bag function, so on DISTINCT-forced runs the
-   materializing baseline (sort), the hash variants, and the sort-aware
+   materializing baseline (sort), the streaming hash, and the sort-aware
    streaming variant must return bag-equal results on every instance. The
    planner half additionally pins the elision certificate: Distinct_plan
    may pick the pass-through only when Algorithm 1 independently answers
@@ -504,8 +504,7 @@ let distinct_strategies ?cache (c : Case.t) =
                 (fun acc (name, impl) ->
                   match acc with Some _ -> acc | None -> check name impl)
                 None
-                [ ("hash-distinct", Engine.Exec.Hash_distinct);
-                  ("stream-hash", Engine.Exec.Stream_hash);
+                [ ("stream-hash", Engine.Exec.Stream_hash);
                   ("stream-sorted", Engine.Exec.Stream_sorted) ]))
     in
     let planner =
@@ -638,16 +637,68 @@ let join_strategies ?cache (c : Case.t) =
 
 (* ---- order strategies ---- *)
 
+(* ORDER BY variants of a spec over its own select columns — the first
+   column, then the full list — which keeps the keys inside the select
+   list as the grammar requires; none under a star or without a plain
+   column. *)
+let order_variants (q : A.query_spec) =
+  let items = match q.A.select with A.Cols items -> items | A.Star -> [] in
+  let has_star =
+    List.exists
+      (function
+        | A.Col a -> String.equal a.Schema.Attr.name "*"
+        | _ -> false)
+      items
+  in
+  let keyable =
+    if has_star then []
+    else
+      List.filter
+        (function
+          | A.Col _ -> true
+          | A.Const _ | A.Host _ | A.Agg _ -> false)
+        items
+  in
+  match keyable with
+  | [] -> []
+  | [ first ] -> [ [ first ] ]
+  | first :: _ -> [ [ first ]; keyable ]
+
+(* Do [rows] of [q]'s result arrive sorted on [q]'s ORDER BY keys under
+   [Value.compare_total]? Each non-star select item is one output column,
+   which locates the keys. *)
+let sorted_on_keys (q : A.query_spec) rows =
+  let items = match q.A.select with A.Cols items -> items | A.Star -> [] in
+  let key_idxs =
+    List.map
+      (fun k ->
+        let rec find j = function
+          | [] -> raise Not_found
+          | it :: rest -> if it = k then j else find (j + 1) rest
+        in
+        find 0 items)
+      q.A.order_by
+  in
+  let cmp a b =
+    List.fold_left
+      (fun acc j ->
+        if acc <> 0 then acc else Sqlval.Value.compare_total a.(j) b.(j))
+      0 key_idxs
+  in
+  let rec sorted = function
+    | x :: (y :: _ as rest) -> cmp x y <= 0 && sorted rest
+    | _ -> true
+  in
+  sorted rows
+
 (* Operator-agreement oracle for ORDER BY and merge joins, stricter than
    the bag oracles above: ordering is a claim about the row LIST, so
    every strategy must be list-equal — same rows, same positions — to
-   the materializing stable-sort baseline. Variants attach ORDER BY over
-   the case's own select columns (the first column, then the full list),
-   which keeps the keys inside the select list as the grammar requires.
-   The strategies half runs the planner's auto choice and a deliberately
-   blind all-merge join plan (the engine must re-derive key arrangements
-   from verified stream orders and fall back to hash joins when they do
-   not cover). The planner half re-derives every elision certificate at
+   the materializing stable-sort baseline, on every [order_variants]
+   form of the case. The strategies half runs the planner's auto choice
+   and a deliberately blind all-merge join plan (the engine must
+   re-derive key arrangements from verified stream orders and fall back
+   to hash joins when they do not cover). The planner half re-derives every elision certificate at
    the data level: when [Order_plan] certifies an elision, the stream
    reaching the elided sort must itself arrive sorted on the requested
    keys under [Value.compare_total] — the strongest independent check of
@@ -660,30 +711,9 @@ let order_strategies (c : Case.t) =
   match c.Case.query with
   | A.Setop _ -> skip "set operation"
   | A.Spec q ->
-    let items = match q.A.select with A.Cols items -> items | A.Star -> [] in
-    let has_star =
-      List.exists
-        (function
-          | A.Col a -> String.equal a.Schema.Attr.name "*"
-          | _ -> false)
-        items
-    in
-    let keyable =
-      if has_star then []
-      else
-        List.filter
-          (function
-            | A.Col _ -> true
-            | A.Const _ | A.Host _ | A.Agg _ -> false)
-          items
-    in
-    (match keyable with
+    (match order_variants q with
      | [] -> skip "no plain column in the select list to order by"
-     | first :: _ ->
-       let variants =
-         if List.length keyable > 1 then [ [ first ]; keyable ]
-         else [ [ first ] ]
-       in
+     | variants ->
        let cat = Case.catalog c in
        let run ~sort_impl ~join_impl db hosts oq =
          let config =
@@ -776,36 +806,14 @@ let order_strategies (c : Case.t) =
                    choice.Optimizer.Order_plan.impl <> Engine.Exec.Elided_sort
                  then None
                  else begin
-                   (* positions of the keys among the select items — each
-                      non-star item contributes exactly one output column *)
-                   let key_idxs =
-                     List.map
-                       (fun k ->
-                         let rec find j = function
-                           | [] -> raise Not_found
-                           | it :: rest -> if it = k then j else find (j + 1) rest
-                         in
-                         find 0 items)
-                       keys
-                   in
                    let elided =
                      run ~sort_impl:Engine.Exec.Elided_sort
                        ~join_impl:choice.Optimizer.Order_plan.join_impl db
                        hosts oq
                    in
-                   let cmp a b =
-                     List.fold_left
-                       (fun acc j ->
-                         if acc <> 0 then acc
-                         else Sqlval.Value.compare_total a.(j) b.(j))
-                       0 key_idxs
-                   in
-                   let rec sorted = function
-                     | x :: (y :: _ as rest) ->
-                       cmp x y <= 0 && sorted rest
-                     | _ -> true
-                   in
-                   if sorted elided.Engine.Relation.rows then None
+                   if sorted_on_keys { q with A.order_by = keys }
+                        elided.Engine.Relation.rows
+                   then None
                    else
                      Some
                        (Printf.sprintf
@@ -818,6 +826,69 @@ let order_strategies (c : Case.t) =
        [ { oracle = "order/strategies"; verdict = strategies };
          { oracle = "order/planner"; verdict = planner } ])
 
+(* ---- the composed physical plan ---- *)
+
+(* [Optimizer.Physical.plan] composes the three authorities, and each
+   certificate holds only under the configuration it was probed in; the
+   per-authority oracles above probe one authority at a time. This one
+   runs the composed configuration against the all-baseline one (sort
+   DISTINCT, nested join, materializing sort) on the case query, its
+   DISTINCT form, and the [order_variants] of both: every planned result
+   must be bag-equal to the baseline, and an ordered one must arrive
+   sorted on its keys. *)
+let plan_composition ?cache (c : Case.t) =
+  let cat = Case.catalog c in
+  let forms =
+    match c.Case.query with
+    | A.Setop _ -> [ c.Case.query ]
+    | A.Spec q ->
+      let d = { q with A.distinct = A.Distinct } in
+      let ordered s =
+        List.map (fun keys -> { s with A.order_by = keys }) (order_variants q)
+      in
+      List.fold_left
+        (fun acc s -> if List.mem (A.Spec s) acc then acc else acc @ [ A.Spec s ])
+        [] ((q :: d :: ordered q) @ ordered d)
+  in
+  let baseline () =
+    { (Engine.Exec.default_config ()) with
+      Engine.Exec.distinct_impl = Engine.Exec.Sort_distinct;
+      join_impl = Engine.Exec.Nested_join;
+      sort_impl = Engine.Exec.Materialize_sort }
+  in
+  let check db hosts i form =
+    let p = Optimizer.Physical.plan ?cache ~database:db cat form in
+    let planned =
+      Engine.Exec.run_query ~config:p.Optimizer.Physical.config db ~hosts
+        p.Optimizer.Physical.query
+    in
+    let base = Engine.Exec.run_query ~config:(baseline ()) db ~hosts form in
+    let fail what =
+      Some
+        (Printf.sprintf "instance %d: planned %s/%s/%s %s on %s" i
+           p.Optimizer.Physical.distinct.Optimizer.Distinct_plan.name
+           p.Optimizer.Physical.join.Optimizer.Join_plan.name
+           p.Optimizer.Physical.order.Optimizer.Order_plan.name what
+           (Sql.Pretty.query form))
+    in
+    if not (Engine.Relation.equal_bags base planned) then
+      fail
+        (Printf.sprintf "is not bag-equal to the baseline (%d vs %d rows)"
+           (Engine.Relation.cardinality planned)
+           (Engine.Relation.cardinality base))
+    else
+      match form with
+      | A.Spec s when s.A.order_by <> []
+                      && not (sorted_on_keys s planned.Engine.Relation.rows) ->
+        fail "does not arrive sorted on the ORDER BY keys"
+      | A.Spec _ | A.Setop _ -> None
+  in
+  [ { oracle = "plan/composed";
+      verdict =
+        guard (fun () ->
+            on_instances c (fun db hosts i ->
+                List.find_map (check db hosts i) forms)) } ]
+
 let groups ?max_cells ?cache () =
   [ ("uniqueness", fun c -> uniqueness ?cache c);
     ("rewrite", fun c -> rewrite ?cache c);
@@ -827,7 +898,8 @@ let groups ?max_cells ?cache () =
     ("cache", cache_consistency);
     ("distinct", fun c -> distinct_strategies ?cache c);
     ("join", fun c -> join_strategies ?cache c);
-    ("order", order_strategies) ]
+    ("order", order_strategies);
+    ("plan", fun c -> plan_composition ?cache c) ]
 
 let group_names = List.map fst (groups ())
 

@@ -24,7 +24,7 @@
       and traces (modulo [cache.hit] marker nodes) with and without a
       cache;
     - {e distinct}: operator agreement — every duplicate-elimination
-      strategy (materializing sort/hash, streaming hash, sort-aware
+      strategy (materializing sort, streaming hash, sort-aware
       streaming with its fallback) returns bag-equal results on every
       instance, and [Optimizer.Distinct_plan] picks the elided
       pass-through only when Algorithm 1 independently certifies YES;
@@ -41,7 +41,12 @@
       the materializing stable-sort baseline, and every
       [Optimizer.Order_plan] elision certificate is re-derived at the
       data level: the stream reaching the elided sort must itself arrive
-      sorted on the requested keys.
+      sorted on the requested keys;
+    - {e plan}: the composed plan — [Optimizer.Physical.plan]'s
+      configuration must return bag-equal results to the all-baseline
+      one (sort DISTINCT, nested join, materializing sort) on the case
+      query, its DISTINCT form and their ORDER BY variants, and an
+      ordered form must arrive sorted on its keys.
 
     A [Fail] verdict is a soundness discrepancy; [Skip] records why an
     oracle did not apply (outside the analyzer's class, rewrite not
@@ -72,11 +77,12 @@ val cache_consistency : Case.t -> finding list
 val distinct_strategies : ?cache:Analysis_cache.t -> Case.t -> finding list
 val join_strategies : ?cache:Analysis_cache.t -> Case.t -> finding list
 val order_strategies : Case.t -> finding list
+val plan_composition : ?cache:Analysis_cache.t -> Case.t -> finding list
 
 (** The oracle group names accepted by [all ~only] (and the fuzzer's
     [--oracle] flag): ["uniqueness"], ["rewrite"], ["agreement"],
     ["symbolic"], ["logic"], ["cache"], ["distinct"], ["join"],
-    ["order"]. *)
+    ["order"], ["plan"]. *)
 val group_names : string list
 
 (** All oracles; [max_cells] bounds the exact checker (default

@@ -3,7 +3,6 @@ module Truth = Sqlval.Truth
 
 type distinct_impl =
   | Sort_distinct
-  | Hash_distinct
   | Stream_hash
   | Stream_sorted
   | Stream_elided
@@ -517,9 +516,10 @@ let compile ?config db ~hosts plan : Operator.t =
 
   and exec plan : Relation.t = Operator.to_relation (compile_node plan)
 
-  (* Duplicate elimination over the projected stream. The two materializing
-     strategies predate the operator pipeline and are kept for ablations;
-     the three [Stream_*] strategies are the paper's cost spectrum. *)
+  (* Duplicate elimination over the projected stream. The materializing
+     sort predates the operator pipeline and is kept as the ablation
+     baseline; the three [Stream_*] strategies are the paper's cost
+     spectrum. *)
   and distinct (op : Operator.t) : Operator.t =
     let schema = op.Operator.schema in
     match cfg.distinct_impl with
@@ -531,28 +531,6 @@ let compile ?config db ~hosts plan : Operator.t =
           Stats.record_dedup stats ~strategy:"sort-unique" ~state:n;
           stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + n;
           let out = Relation.dedup_sorted ~tick:tick_compare (sort_counting rows) in
-          stats.Stats.dedup_rows_out <-
-            stats.Stats.dedup_rows_out + List.length out;
-          out)
-    | Hash_distinct ->
-      Operator.of_lazy ~order:op.Operator.order schema (fun () ->
-          let rows = Operator.to_rows op in
-          let seen = Relation.Row_tbl.create (max 16 (List.length rows)) in
-          Stats.record_dedup stats ~strategy:"hash-distinct" ~state:0;
-          stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + List.length rows;
-          let out =
-            List.filter
-              (fun row ->
-                stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-                if Relation.Row_tbl.mem seen row then false
-                else begin
-                  Relation.Row_tbl.add seen row ();
-                  true
-                end)
-              rows
-          in
-          stats.Stats.dedup_state_peak <-
-            max stats.Stats.dedup_state_peak (Relation.Row_tbl.length seen);
           stats.Stats.dedup_rows_out <-
             stats.Stats.dedup_rows_out + List.length out;
           out)

@@ -11,11 +11,11 @@
     plan therefore never executes it — the planner compiles purely to
     inspect order provenance ({!distinct_stream}).
 
-    Duplicate elimination comes in five flavors: two materializing
-    strategies kept for ablations ([Sort_distinct], the 1994-era default
-    whose sort is the cost the paper's optimization removes, and
-    [Hash_distinct]), and three streaming strategies forming the paper's
-    cost spectrum ([Stream_hash], [Stream_sorted], [Stream_elided]).
+    Duplicate elimination comes in four flavors: the materializing
+    [Sort_distinct], kept as the ablation baseline (the 1994-era default
+    whose sort is the cost the paper's optimization removes), and three
+    streaming strategies forming the paper's cost spectrum
+    ([Stream_hash], [Stream_sorted], [Stream_elided]).
     [EXISTS] subqueries run as correlated nested loops with early exit,
     resolving free column references against enclosing query blocks
     (innermost first). *)
@@ -23,7 +23,6 @@
 type distinct_impl =
   | Sort_distinct
       (** materialize, O(n log n) sort, adjacent-duplicate removal *)
-  | Hash_distinct  (** materialize, hash set keyed by whole rows *)
   | Stream_hash
       (** streaming {!Operator.hash_unique}: O(distinct rows) state *)
   | Stream_sorted

@@ -195,7 +195,8 @@ let choose ?(trace = Trace.disabled) ?database ?config ?stats cat
   in
   let stream_probe =
     match (database, applicable q) with
-    | Some db, true -> Engine.Exec.order_stream ~config:probe_config db q
+    | Some db, true ->
+      (try Engine.Exec.order_stream ~config:probe_config db q with _ -> None)
     | _ -> None
   in
   let od_covers, stream_order, sort_keys =
@@ -221,7 +222,8 @@ let choose ?(trace = Trace.disabled) ?database ?config ?stats cat
   let est_sort_cost =
     match q with
     | Sql.Ast.Spec spec when applicable q ->
-      Cost.sort ~card:(Cost.query_spec cat table_stats spec).Cost.card
+      (try Cost.sort ~card:(Cost.query_spec cat table_stats spec).Cost.card
+       with _ -> 0.0)
     | _ -> 0.0
   in
   let c =

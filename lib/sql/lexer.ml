@@ -69,8 +69,14 @@ let tokenize input =
       end
       else if is_digit c then begin
         let j = digits_end i in
-        if j < n && input.[j] = '.' && j + 1 < n && is_digit input.[j + 1] then begin
-          let k = digits_end (j + 1) in
+        (* digits[.digits][(e|E)[+-]digits]: a fraction or an exponent
+           makes it a float *)
+        let at p ch = p < n && input.[p] = ch in
+        let digit_at p = p < n && is_digit input.[p] in
+        let k = if at j '.' && digit_at (j + 1) then digits_end (j + 1) else j in
+        let m = if at (k + 1) '+' || at (k + 1) '-' then k + 2 else k + 1 in
+        let k = if (at k 'e' || at k 'E') && digit_at m then digits_end m else k in
+        if k > j then begin
           emit (FLOAT (float_of_string (String.sub input i (k - i))));
           go k
         end

@@ -84,7 +84,12 @@ let to_string = function
       let s = Printf.sprintf "%.*g" p f in
       if p >= 17 || float_of_string s = f then s else go (p + 1)
     in
-    go 6
+    let s = go 6 in
+    (* a large integral float can come out as bare digits
+       (1234567890123456 at %.16g), which would read back as an Int *)
+    if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then
+      s ^ ".0"
+    else s
   | String s -> Printf.sprintf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
   | Bool b -> if b then "TRUE" else "FALSE"
 

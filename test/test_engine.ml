@@ -83,7 +83,7 @@ let test_distinct_null_equivalence () =
 let test_hash_distinct_agrees () =
   let db = small_db () in
   let q = "SELECT DISTINCT R.B FROM R" in
-  let cfg_hash = { (Exec.default_config ()) with Exec.distinct_impl = Exec.Hash_distinct } in
+  let cfg_hash = { (Exec.default_config ()) with Exec.distinct_impl = Exec.Stream_hash } in
   let a = run db q in
   let b = run ~config:cfg_hash db q in
   Alcotest.(check bool) "same bag" true (Relation.equal_bags a b)
@@ -701,8 +701,7 @@ let test_strategies_agree_with_naive () =
               let r = Exec.run_query ~config db ~hosts dq in
               Alcotest.(check bool) "strategy agrees with naive dedup" true
                 (Relation.equal_bags expect r))
-            [ Exec.Sort_distinct; Exec.Hash_distinct; Exec.Stream_hash;
-              Exec.Stream_sorted ])
+            [ Exec.Sort_distinct; Exec.Stream_hash; Exec.Stream_sorted ])
         c.Difftest.Case.instances
   done
 

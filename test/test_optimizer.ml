@@ -241,6 +241,79 @@ let test_join_plan_estimates_match_measured () =
     (Engine.Relation.cardinality r)
     (int_of_float est_card)
 
+(* ---- Physical.plan: one composed plan ---- *)
+
+let supplier_db () =
+  Workload.Generator.supplier_db ~suppliers:40 ~parts_per_supplier:3 ()
+
+let view_ddl = "CREATE VIEW V AS SELECT S.SNO, S.SNAME FROM SUPPLIER S"
+
+(* The executed config is the authorities' choices, the ORDER BY one
+   probed under the DISTINCT and join ones: a hash DISTINCT scrambles
+   arrival order, so the sort stays; an elided one keeps the key order,
+   so the sort goes. *)
+let test_physical_composes () =
+  let db = supplier_db () in
+  let cat = Engine.Database.catalog db in
+  List.iter
+    (fun (sql, distinct, order) ->
+      let p = Optimizer.Physical.plan ~database:db cat (parse sql) in
+      let c = p.Optimizer.Physical.config in
+      Alcotest.(check string) (sql ^ ": distinct") distinct
+        p.Optimizer.Physical.distinct.Optimizer.Distinct_plan.name;
+      Alcotest.(check string) (sql ^ ": order") order
+        p.Optimizer.Physical.order.Optimizer.Order_plan.name;
+      Alcotest.(check bool) (sql ^ ": config runs the choices") true
+        (c.Engine.Exec.distinct_impl
+         = p.Optimizer.Physical.distinct.Optimizer.Distinct_plan.impl
+         && c.Engine.Exec.sort_impl
+            = p.Optimizer.Physical.order.Optimizer.Order_plan.impl
+         && c.Engine.Exec.join_impl
+            = p.Optimizer.Physical.order.Optimizer.Order_plan.join_impl))
+    [ ("SELECT DISTINCT P.COLOR FROM PARTS P ORDER BY P.COLOR", "hash-unique",
+       "materialize-sort");
+      ("SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S ORDER BY S.SNO",
+       "elided-unique", "elided-sort") ]
+
+(* Views are merged before planning: the plan is made for, and runs,
+   the query over base tables. *)
+let test_physical_expands_views () =
+  let db = supplier_db () in
+  let cat =
+    Uniqueness.Views.register_ddl (Engine.Database.catalog db) view_ddl
+  in
+  let p =
+    Optimizer.Physical.plan ~database:db cat
+      (parse "SELECT V.SNO FROM V ORDER BY V.SNO")
+  in
+  Alcotest.(check bool) "no view left in the planned query" true
+    (match p.Optimizer.Physical.query with
+     | Sql.Ast.Spec s ->
+       List.for_all
+         (fun f -> f.Sql.Ast.table = "SUPPLIER") s.Sql.Ast.from
+     | Sql.Ast.Setop _ -> false);
+  Alcotest.(check string) "sort elided on the key order" "elided-sort"
+    p.Optimizer.Physical.order.Optimizer.Order_plan.name;
+  let r =
+    Engine.Exec.run_query ~config:p.Optimizer.Physical.config db ~hosts:[]
+      p.Optimizer.Physical.query
+  in
+  Alcotest.(check int) "every supplier" 40 (Engine.Relation.cardinality r)
+
+(* Order_plan never raises: a query the instance cannot run (an
+   unexpanded view) degrades to the materializing sort. *)
+let test_order_plan_degrades_on_views () =
+  let db = supplier_db () in
+  let cat =
+    Uniqueness.Views.register_ddl (Engine.Database.catalog db) view_ddl
+  in
+  let c =
+    Optimizer.Order_plan.choose ~database:db cat
+      (parse "SELECT V.SNO FROM V ORDER BY V.SNO")
+  in
+  Alcotest.(check string) "materialize-sort" "materialize-sort"
+    c.Optimizer.Order_plan.name
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -283,5 +356,14 @@ let () =
             test_join_plan_filtered_probe;
           Alcotest.test_case "estimates match measured rows on FK data" `Quick
             test_join_plan_estimates_match_measured;
+        ] );
+      ( "physical",
+        [
+          Alcotest.test_case "composes the three authorities" `Quick
+            test_physical_composes;
+          Alcotest.test_case "plans the view-expanded query" `Quick
+            test_physical_expands_views;
+          Alcotest.test_case "order plan degrades on unexpanded views" `Quick
+            test_order_plan_degrades_on_views;
         ] );
     ]

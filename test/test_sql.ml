@@ -202,6 +202,49 @@ let prop_pred_round_trip =
       let s = Sql.Pretty.pred p in
       Sql.Parser.parse_pred s = p)
 
+(* A float constant printed by Sql.Pretty must lex back as the same
+   float: exponent forms (1e+20, 1e-07) and bare-digit forms of large
+   integral floats included. Negative literals are not in the grammar. *)
+let float_const_round_trips f =
+  let q =
+    Sql.Ast.Spec
+      { (spec_of (parse "SELECT S.SNO FROM SUPPLIER S")) with
+        where =
+          Cmp (Eq, Col (Schema.Attr.make ~rel:"S" ~name:"SNO"),
+               Const (Sqlval.Value.Float f)) }
+  in
+  match spec_of (parse (Sql.Pretty.query q)) with
+  | { where = Cmp (Eq, _, Const v); _ } ->
+    Sqlval.Value.compare_total v (Sqlval.Value.Float f) = 0
+    && (match v with Sqlval.Value.Float _ -> true | _ -> false)
+  | _ -> false
+
+let test_float_literals () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "%h reads back" f) true
+        (float_const_round_trips f))
+    [ 0.; 0.5; 1e20; 1e-7; 1e15; 1234567890123456.; 2.5e-300; 1.7976931348623157e308 ];
+  match spec_of (parse "SELECT A FROM R WHERE A = 2.5E3 AND B = 1e-2") with
+  | { where = And (Cmp (_, _, Const (Sqlval.Value.Float a)),
+                   Cmp (_, _, Const (Sqlval.Value.Float b))); _ } ->
+    Alcotest.(check (float 0.)) "2.5E3" 2500. a;
+    Alcotest.(check (float 0.)) "1e-2" 0.01 b
+  | _ -> Alcotest.fail "exponent literals lex as floats"
+
+let prop_float_round_trip =
+  QCheck2.Test.make ~name:"pretty/parse round-trip on float constants"
+    ~count:1000 ~print:(Printf.sprintf "%h")
+    QCheck2.Gen.(
+      oneof
+        [ pfloat;
+          map2 (fun m e -> m *. (10. ** float_of_int e))
+            (float_range 0. 10.) (int_range (-30) 30);
+          map (fun i -> float_of_int i *. 1e15) (int_range 1 100_000) ])
+    (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      float_const_round_trips f)
+
 let () =
   Alcotest.run "sql"
     [
@@ -225,8 +268,10 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_errors;
           Alcotest.test_case "oversized integer literal" `Quick
             test_oversized_int_literal;
+          Alcotest.test_case "float literals" `Quick test_float_literals;
         ] );
       ( "round-trip",
         Alcotest.test_case "paper examples" `Quick test_round_trip_examples
-        :: List.map QCheck_alcotest.to_alcotest [ prop_pred_round_trip ] );
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_pred_round_trip; prop_float_round_trip ] );
     ]

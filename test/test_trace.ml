@@ -168,6 +168,57 @@ let test_run_executes_planned_strategy () =
       ("SELECT DISTINCT P.COLOR FROM PARTS P ORDER BY P.COLOR",
        "materialize-sort", [ ("sorts", 1) ]) ]
 
+(* A view query is planned once, on the expanded query that runs: the
+   order-strategy section narrates the plan the execution uses. *)
+let test_run_view_order_by () =
+  let db =
+    Workload.Generator.supplier_db ~suppliers:100 ~parts_per_supplier:5 ()
+  in
+  let cat =
+    Uniqueness.Views.register_ddl (Engine.Database.catalog db)
+      "CREATE VIEW V AS SELECT S.SNO, S.SNAME FROM SUPPLIER S"
+  in
+  let report =
+    Explain.explain ~database:db cat
+      (Sql.Parser.parse_query "SELECT V.SNO FROM V ORDER BY V.SNO")
+  in
+  let section =
+    List.find (fun s -> s.Explain.title = "order-strategy")
+      report.Explain.sections
+  in
+  let chosen =
+    List.find (fun n -> n.Trace.verdict = Trace.Chosen) section.Explain.nodes
+  in
+  Alcotest.(check (option string)) "narrated strategy" (Some "elided-sort")
+    (List.assoc_opt "strategy" chosen.Trace.facts);
+  match report.Explain.executions with
+  | [ { Explain.label = "as-written"; rows; counters; _ } ] ->
+    Alcotest.(check int) "rows" 100 rows;
+    Alcotest.(check int) "sort elided" 1 (List.assoc "sort_elisions" counters)
+  | _ -> Alcotest.fail "expected one as-written execution"
+
+(* A view that cannot be merged leaves no query to run: the report says
+   so instead of raising. *)
+let test_unmergeable_view () =
+  let db =
+    Workload.Generator.supplier_db ~suppliers:20 ~parts_per_supplier:2 ()
+  in
+  let cat =
+    Uniqueness.Views.register_ddl (Engine.Database.catalog db)
+      "CREATE VIEW W AS SELECT DISTINCT P.COLOR FROM PARTS P"
+  in
+  let report =
+    Explain.explain ~database:db cat
+      (Sql.Parser.parse_query "SELECT W.COLOR FROM W")
+  in
+  let section =
+    List.find (fun s -> s.Explain.title = "distinct-strategy")
+      report.Explain.sections
+  in
+  Alcotest.(check (list string)) "skipped" [ "physical.skipped" ]
+    (List.map (fun n -> n.Trace.rule) section.Explain.nodes);
+  Alcotest.(check int) "nothing ran" 0 (List.length report.Explain.executions)
+
 (* ---- fuzz hook: tracing must never change behaviour ---- *)
 
 let rng_of seed = Random.State.make [| seed |]
@@ -232,5 +283,9 @@ let () =
          Alcotest.test_case "deterministic" `Quick test_report_deterministic;
          Alcotest.test_case "set operations" `Quick test_setop_report;
          Alcotest.test_case "--run executes the planned strategy" `Quick
-           test_run_executes_planned_strategy ]);
+           test_run_executes_planned_strategy;
+         Alcotest.test_case "--run plans a view query once" `Quick
+           test_run_view_order_by;
+         Alcotest.test_case "unmergeable view is narrated" `Quick
+           test_unmergeable_view ]);
       ("fuzz", qsuite) ]
