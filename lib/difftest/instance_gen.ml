@@ -5,10 +5,16 @@ module Truth = Sqlval.Truth
 
 (* FLOAT draws: integral values equal to the INT pool 0..3, plus two
    values that differ as numbers but print alike under %g (1.23457e+06) —
-   a key format built from printed values would confuse them *)
+   a key format built from printed values would confuse them — and the
+   floats around 2^53, where comparing through Float.of_int would equate
+   distinct Ints. All are non-negative: query constants draw from this
+   pool too, and SQL literals carry no sign. *)
+let float_values =
+  [ 0.; 1.; 2.; 3.; 1234567.; 1234568.; 0x1p53 -. 1.; 0x1p53; 0x1p53 +. 2. ]
+
 let float_value rng =
   Value.Float
-    (List.nth [ 0.; 1.; 2.; 3.; 1234567.; 1234568. ] (Random.State.int rng 6))
+    (List.nth float_values (Random.State.int rng (List.length float_values)))
 
 let random_value rng (col : R.column) =
   if col.R.nullable && Random.State.float rng 1.0 < 0.25 then Value.Null
@@ -54,8 +60,8 @@ let tables ~rng ?(rows = 6) cat =
       let keys =
         List.map
           (fun (k : Catalog.key) ->
-            ( Array.of_list (List.map col_index k.Catalog.key_cols),
-              Engine.Relation.Row_tbl.create 16 ))
+            let idxs = Array.of_list (List.map col_index k.Catalog.key_cols) in
+            (idxs, Engine.Relation.Keyed.create idxs))
           (Catalog.candidate_keys def)
       in
       let fks =
@@ -113,14 +119,12 @@ let tables ~rng ?(rows = 6) cat =
           (* primary keys already have NOT NULL columns (catalog enforces);
              reject duplicates under the null-comparison tag *)
           List.exists
-            (fun (idxs, seen) ->
-              Engine.Relation.(Row_tbl.mem seen (project idxs row)))
+            (fun (idxs, seen) -> Engine.Relation.Keyed.find seen idxs row >= 0)
             keys
         then None
         else begin
           List.iter
-            (fun (idxs, seen) ->
-              Engine.Relation.(Row_tbl.add seen (project idxs row) ()))
+            (fun (_, seen) -> ignore (Engine.Relation.Keyed.find_or_add seen row))
             keys;
           Some row
         end

@@ -13,8 +13,9 @@
 val tables : rng:Random.State.t -> ?rows:int -> Catalog.t -> (string * Engine.Relation.row list) list
 
 (** A value from the FLOAT pool: the integers 0..3 as floats (equal to
-    INT values under [Value.compare_total]) and 1234567.0 / 1234568.0,
-    which differ but print alike under [%g]. *)
+    INT values under [Value.compare_total]), 1234567.0 / 1234568.0,
+    which differ but print alike under [%g], and the floats around
+    2{^53}, beyond which consecutive integers are no longer floats. *)
 val float_value : Random.State.t -> Sqlval.Value.t
 
 (** Load generated rows into a fresh database. With [~ordered:true]

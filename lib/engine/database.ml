@@ -120,15 +120,14 @@ let validate t =
       List.iter
         (fun (k : Catalog.key) ->
           let idxs = Array.of_list (List.map col_index k.key_cols) in
-          let seen = Relation.Row_tbl.create 64 in
+          let seen = Relation.Keyed.create idxs in
           List.iter
             (fun row ->
-              let tag = Relation.project idxs row in
-              if k.key_primary && Array.exists Value.is_null tag then
+              if k.key_primary && Relation.has_null_at idxs row then
                 violations := Null_in_primary_key (name, row) :: !violations;
-              if Relation.Row_tbl.mem seen tag then
-                violations := Duplicate_key (name, k.key_cols, row) :: !violations
-              else Relation.Row_tbl.add seen tag ())
+              let count = Relation.Keyed.count seen in
+              if Relation.Keyed.find_or_add seen row < count then
+                violations := Duplicate_key (name, k.key_cols, row) :: !violations)
             rows)
         def.Catalog.tbl_keys;
       (* referential constraints: every fully non-null FK value must have
@@ -148,18 +147,16 @@ let validate t =
                        (Schema.Attr.make ~rel:ref_def.Catalog.tbl_name ~name:c))
                    ref_cols)
             in
-            let parents = Relation.Row_tbl.create 64 in
+            let parents = Relation.Keyed.create ref_idx in
             List.iter
-              (fun prow ->
-                Relation.Row_tbl.replace parents (Relation.project ref_idx prow) ())
+              (fun prow -> ignore (Relation.Keyed.find_or_add parents prow))
               (cell t fk.Catalog.fk_table).rows;
             let fk_idx = Array.of_list (List.map col_index fk.Catalog.fk_cols) in
             List.iter
               (fun row ->
-                let tag = Relation.project fk_idx row in
                 if
-                  (not (Array.exists Value.is_null tag))
-                  && not (Relation.Row_tbl.mem parents tag)
+                  (not (Relation.has_null_at fk_idx row))
+                  && Relation.Keyed.find parents fk_idx row < 0
                 then
                   violations :=
                     Dangling_reference (name, fk.Catalog.fk_cols, row)

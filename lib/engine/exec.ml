@@ -176,72 +176,6 @@ module Accumulator = struct
     | Best b -> b.best
 end
 
-(* The groups of a hash aggregation: an open-addressing index from group
-   keys (the columns [key] of a row) to dense ids 0, 1, ... in first-seen
-   order, with each group's first row stored by id. Keys hash and
-   compare as in [Relation.Row_tbl] ([Relation.hash_row] of the key,
-   [Value.compare_total] per column) but are read from the group's first
-   row, and the table keeps each key's hash: growing it moves ints only.
-   A [Hashtbl] re-hashes every key through rows scattered over the heap
-   when it grows, which made it about 1.7x slower than the old sort on
-   100k singleton groups. Load stays at most 1/2, so linear probing ends
-   quickly. *)
-module Group_table = struct
-  type t = {
-    key : int array;
-    mutable slots : int array;  (* a group id, or -1 when free *)
-    mutable hashes : int array;  (* by group id *)
-    mutable firsts : Relation.row array;  (* by group id *)
-    mutable count : int;
-  }
-
-  let create key =
-    { key; slots = Array.make 64 (-1); hashes = [||]; firsts = [||]; count = 0 }
-
-  let same_key key (a : Relation.row) (b : Relation.row) =
-    let rec go j =
-      j = Array.length key
-      || (Value.compare_total a.(key.(j)) b.(key.(j)) = 0 && go (j + 1))
-    in
-    go 0
-
-  let rec free_slot slots mask i =
-    if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
-
-  let grow_slots t =
-    let cap = 2 * Array.length t.slots in
-    let slots = Array.make cap (-1) and mask = cap - 1 in
-    for id = 0 to t.count - 1 do
-      slots.(free_slot slots mask (t.hashes.(id) land mask)) <- id
-    done;
-    t.slots <- slots
-
-  (* The id of [row]'s group; a new group takes id [t.count]. *)
-  let find_or_add t row =
-    let h = Relation.hash_row (Relation.project t.key row) in
-    let mask = Array.length t.slots - 1 in
-    let rec probe i =
-      let id = t.slots.(i) in
-      if id < 0 then begin
-        let id = t.count in
-        if id = Array.length t.firsts then begin
-          let extend a fill = Array.append a (Array.make (max 16 id) fill) in
-          t.hashes <- extend t.hashes 0;
-          t.firsts <- extend t.firsts row
-        end;
-        t.slots.(i) <- id;
-        t.hashes.(id) <- h;
-        t.firsts.(id) <- row;
-        t.count <- id + 1;
-        if 2 * t.count > Array.length t.slots then grow_slots t;
-        id
-      end
-      else if t.hashes.(id) = h && same_key t.key row t.firsts.(id) then id
-      else probe ((i + 1) land mask)
-    in
-    probe (h land mask)
-end
-
 (* One output column of an aggregate: a group-key position, or an
    aggregate over an operand position ([None] is COUNT( * )). *)
 type agg_cell = Key of int | Agg of Sql.Ast.agg_fn * int option
@@ -296,8 +230,7 @@ let compile ?config db ~hosts plan : Operator.t =
       v
   in
   (* memoized per-subquery hash indexes for Indexed_exists *)
-  let exists_index_cache :
-      (string, Relation.row list Relation.Row_tbl.t) Cache.Lru.t =
+  let exists_index_cache : (string, Relation.Keyed.groups) Cache.Lru.t =
     Cache.Lru.create ~capacity:(max 1 cfg.scan_cache_capacity)
   in
   let tick_compare () = stats.Stats.comparisons <- stats.Stats.comparisons + 1 in
@@ -345,30 +278,22 @@ let compile ?config db ~hosts plan : Operator.t =
     let f = List.hd sub.from in
     let schema, rows, _ = scan_table f.Sql.Ast.table (Sql.Ast.from_name f) in
     let inner a =
-      match Schema.Relschema.find_index schema a with
-      | Some i -> Some i
-      | None -> None
-      | exception Failure _ -> None
+      try Schema.Relschema.find_index schema a with Failure _ -> None
     in
     (* correlation conjuncts: inner column = outer-varying scalar *)
+    let correlation col rhs =
+      match col, rhs with
+      | Sql.Ast.Col a, (Sql.Ast.Const _ | Sql.Ast.Host _) ->
+        Option.map (fun i -> (i, rhs)) (inner a)
+      | Sql.Ast.Col a, Sql.Ast.Col b when inner b = None ->
+        Option.map (fun i -> (i, rhs)) (inner a)
+      | _ -> None
+    in
     let key_conjs =
       List.filter_map
-        (fun c ->
-          match c with
-          | Sql.Ast.Cmp (Sql.Ast.Eq, Sql.Ast.Col a, rhs)
-            when inner a <> None
-                 && (match rhs with
-                     | Sql.Ast.Col b -> inner b = None
-                     | Sql.Ast.Const _ | Sql.Ast.Host _ -> true
-                     | Sql.Ast.Agg _ -> false) ->
-            Some (Option.get (inner a), rhs)
-          | Sql.Ast.Cmp (Sql.Ast.Eq, rhs, Sql.Ast.Col a)
-            when inner a <> None
-                 && (match rhs with
-                     | Sql.Ast.Col b -> inner b = None
-                     | Sql.Ast.Const _ | Sql.Ast.Host _ -> true
-                     | Sql.Ast.Agg _ -> false) ->
-            Some (Option.get (inner a), rhs)
+        (function
+          | Sql.Ast.Cmp (Sql.Ast.Eq, x, y) ->
+            (match correlation x y with None -> correlation y x | k -> k)
           | _ -> None)
         (Sql.Ast.conjuncts sub.where)
     in
@@ -383,16 +308,14 @@ let compile ?config db ~hosts plan : Operator.t =
         | Some ix -> ix
         | None ->
           let key_idx = Array.of_list (List.map fst key_conjs) in
-          let ix = Relation.Row_tbl.create (List.length rows) in
-          List.iter
-            (fun row ->
-              stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1;
-              let k = Relation.project key_idx row in
-              if not (Array.exists Value.is_null k) then
-                Relation.Row_tbl.replace ix k
-                  (row
-                  :: Option.value ~default:[] (Relation.Row_tbl.find_opt ix k)))
-            rows;
+          let ix =
+            Relation.Keyed.group key_idx (fun add ->
+                List.iter
+                  (fun row ->
+                    stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1;
+                    if not (Relation.has_null_at key_idx row) then add row)
+                  rows)
+          in
           add_counting_evictions exists_index_cache cache_key ix;
           ix
       in
@@ -408,16 +331,21 @@ let compile ?config db ~hosts plan : Operator.t =
       in
       (not (Array.exists Value.is_null probe))
       &&
-      let candidates =
-        Option.value ~default:[] (Relation.Row_tbl.find_opt index probe)
+      let id =
+        Relation.Keyed.find index.Relation.Keyed.ids
+          (Array.init (Array.length probe) Fun.id)
+          probe
       in
-      List.exists
-        (fun row ->
-          Truth.is_true
-            (eval_pred
-               ({ fr_schema = schema; fr_row = row } :: outer_frames)
-               sub.where))
-        candidates
+      let rec any i =
+        i < index.Relation.Keyed.starts.(id + 1)
+        && (Truth.is_true
+              (eval_pred
+                 ({ fr_schema = schema; fr_row = index.Relation.Keyed.rows.(i) }
+                 :: outer_frames)
+                 sub.where)
+           || any (i + 1))
+      in
+      id >= 0 && any index.Relation.Keyed.starts.(id)
     end
   in
   let count_output (op : Operator.t) =
@@ -544,10 +472,11 @@ let compile ?config db ~hosts plan : Operator.t =
     | Stream_elided -> Operator.elided_unique ~stats op
 
   (* Hash aggregation: one pass over the input, each row's group found in
-     a [Group_table] (null-comparison equality, so NULL keys form one group
-     and [Int 1] / [Float 1.0] share one) and folded into that group's
-     running accumulators. Groups are emitted in first-seen order with no
-     order provenance; each group folds its rows in input order, so float
+     a [Relation.Keyed] table (null-comparison equality, so NULL keys form
+     one group and [Int 1] / [Float 1.0] share one; with no GROUP BY every
+     row lands in group 0) and folded into that group's running
+     accumulators. Groups are emitted in first-seen order with no order
+     provenance; each group folds its rows in input order, so float
      SUM/AVG are exactly the left fold over the group's operands. *)
   and aggregate group_by output input =
     let op = compile_node input in
@@ -604,33 +533,29 @@ let compile ?config db ~hosts plan : Operator.t =
             f row;
             drain f
         in
+        let groups = Relation.Keyed.create key_idx in
+        drain (fun row ->
+            if Array.length key_idx > 0 then
+              stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+            let count = Relation.Keyed.count groups in
+            let id = Relation.Keyed.find_or_add groups row in
+            if id = count then begin
+              let len = Array.length !accs in
+              if (id + 1) * nagg > len then
+                accs := Array.append !accs (Array.make (max nagg len) filler);
+              init (id * nagg)
+            end;
+            fold (id * nagg) row);
         let rows =
-          if Array.length key_idx = 0 then begin
+          if Relation.Keyed.count groups = 0 && Array.length key_idx = 0 then begin
             (* one global group, even over empty input *)
             accs := Array.make nagg filler;
             init 0;
-            let first = ref None in
-            drain (fun row ->
-                if Option.is_none !first then first := Some row;
-                fold 0 row);
-            [ output_row !first 0 ]
+            [ output_row None 0 ]
           end
-          else begin
-            let groups = Group_table.create key_idx in
-            drain (fun row ->
-                stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-                let count = groups.Group_table.count in
-                let id = Group_table.find_or_add groups row in
-                if id = count then begin
-                  let len = Array.length !accs in
-                  if (id + 1) * nagg > len then
-                    accs := Array.append !accs (Array.make (max nagg len) filler);
-                  init (id * nagg)
-                end;
-                fold (id * nagg) row);
-            List.init groups.Group_table.count (fun id ->
-                output_row (Some groups.Group_table.firsts.(id)) (id * nagg))
-          end
+          else
+            List.init (Relation.Keyed.count groups) (fun id ->
+                output_row (Some (Relation.Keyed.first groups id)) (id * nagg))
         in
         op.Operator.close ();
         stats.Stats.rows_output <- stats.Stats.rows_output + List.length rows;

@@ -127,84 +127,74 @@ let product ?(tick = no_op) left right =
 (* Join keys follow WHERE-equality semantics: a NULL in any key column
    means the row can match nothing (unknown, not equal), so it is dropped
    from both the build table and the probe. [semi_join ~null_equal:true]
-   switches to the null-comparison total order used by set operations. *)
-let join_key ~null_equal idxs row =
-  let key = Relation.project idxs row in
-  if (not null_equal) && Array.exists Value.is_null key then None
-  else Some key
+   switches to the null-comparison total order used by set operations.
+   The build side is drained into [add] exactly once, on the first probe
+   pull, so compiling the pipeline stays pure. *)
+let drain_build ~stats ~null_equal key build add =
+  let rec go () =
+    match build.next () with
+    | None -> ()
+    | Some row ->
+      stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
+      if null_equal || not (Relation.has_null_at key row) then add row;
+      go ()
+  in
+  go ()
 
 let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     ~build_key probe build =
   let schema = Schema.Relschema.product probe.schema build.schema in
-  (* The build side is drained exactly once, on the first probe pull —
-     compiling the pipeline stays pure. Unique mode stores one flat row per
-     key (the planner certified the build join columns cover a candidate
-     key, so a bucket can never hold two rows) and each matching probe
-     early-exits with that row instead of walking a list. *)
+  (* Build rows are grouped by key id and replayed in build order. Unique
+     mode keeps only each key's first row (the planner certified the build
+     join columns cover a candidate key, so no key has a second) and each
+     matching probe early-exits with it. *)
   let probe_key = Array.of_list probe_key
   and build_key = Array.of_list build_key in
-  let table = ref None in
-  let force_table () =
-    match !table with
-    | Some tbl -> tbl
-    | None ->
-      if unique_build then
-        stats.Stats.unique_builds <- stats.Stats.unique_builds + 1;
-      let tbl = Relation.Row_tbl.create 256 in
-      let rec drain () =
-        match build.next () with
-        | None -> ()
-        | Some row ->
-          stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-          (match join_key ~null_equal:false build_key row with
-           | None -> ()
-           | Some k ->
-             if unique_build then Relation.Row_tbl.replace tbl k [ row ]
-             else
-               Relation.Row_tbl.replace tbl k
-                 (row
-                 :: Option.value ~default:[]
-                      (Relation.Row_tbl.find_opt tbl k)));
-          drain ()
-      in
-      drain ();
-      table := Some tbl;
-      tbl
+  let drain = drain_build ~stats ~null_equal:false build_key build in
+  let table =
+    ref
+      (lazy
+        (if unique_build then begin
+           stats.Stats.unique_builds <- stats.Stats.unique_builds + 1;
+           let ids = Relation.Keyed.create build_key in
+           drain (fun row -> ignore (Relation.Keyed.find_or_add ids row));
+           (* no runs: a key's one row is its first *)
+           { Relation.Keyed.ids; starts = [||]; rows = [||] }
+         end
+         else Relation.Keyed.group build_key drain))
   in
-  let current = ref None in
-  let pending = ref [] in
+  (* the probe row being replayed against build rows [pos .. stop - 1] *)
+  let current = ref [||] and rows = ref [||] and pos = ref 0 and stop = ref 0 in
   let rec pull () =
-    match !pending with
-    | y :: rest ->
-      pending := rest;
-      (match !current with
-       | Some x ->
-         tick ();
-         Some (Array.append x y)
-       | None -> assert false)
-    | [] ->
-      (match probe.next () with
-       | None -> None
-       | Some x ->
-         let tbl = force_table () in
-         stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
-         stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-         (match join_key ~null_equal:false probe_key x with
-          | None -> pull ()
-          | Some k ->
-            (match Relation.Row_tbl.find_opt tbl k with
-             | None -> pull ()
-             | Some [ y ] when unique_build ->
-               stats.Stats.probe_early_exits <-
-                 stats.Stats.probe_early_exits + 1;
-               tick ();
-               Some (Array.append x y)
-             | Some bucket ->
-               current := Some x;
-               (* buckets are built by consing, so reverse back to build
-                  order before replaying *)
-               pending := List.rev bucket;
-               pull ())))
+    if !pos < !stop then begin
+      incr pos;
+      tick ();
+      Some (Array.append !current !rows.(!pos - 1))
+    end
+    else
+      match probe.next () with
+      | None -> None
+      | Some x ->
+        let g = Lazy.force !table in
+        stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
+        stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+        let id =
+          if Relation.has_null_at probe_key x then -1
+          else Relation.Keyed.find g.Relation.Keyed.ids probe_key x
+        in
+        if id < 0 then pull ()
+        else if unique_build then begin
+          stats.Stats.probe_early_exits <- stats.Stats.probe_early_exits + 1;
+          tick ();
+          Some (Array.append x (Relation.Keyed.first g.Relation.Keyed.ids id))
+        end
+        else begin
+          current := x;
+          rows := g.Relation.Keyed.rows;
+          pos := g.Relation.Keyed.starts.(id);
+          stop := g.Relation.Keyed.starts.(id + 1);
+          pull ()
+        end
   in
   {
     schema;
@@ -213,15 +203,14 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     rewind =
       (fun () ->
         probe.rewind ();
-        current := None;
-        pending := []);
+        stop := 0);
     close =
       (fun () ->
         probe.close ();
         build.close ();
-        table := Some (Relation.Row_tbl.create 1);
-        current := None;
-        pending := []);
+        table := lazy (Relation.Keyed.group build_key ignore);
+        rows := [||];
+        stop := 0);
   }
 
 let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
@@ -230,37 +219,24 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
      per probe row, whether a build match exists ([anti] inverts). *)
   let probe_key = Array.of_list probe_key
   and build_key = Array.of_list build_key in
-  let table = ref None in
-  let force_table () =
-    match !table with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Relation.Row_tbl.create 256 in
-      let rec drain () =
-        match build.next () with
-        | None -> ()
-        | Some row ->
-          stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-          (match join_key ~null_equal build_key row with
-           | None -> ()
-           | Some k -> Relation.Row_tbl.replace tbl k ());
-          drain ()
-      in
-      drain ();
-      table := Some tbl;
-      tbl
+  let table =
+    ref
+      (lazy
+        (let tbl = Relation.Keyed.create build_key in
+         drain_build ~stats ~null_equal build_key build (fun row ->
+             ignore (Relation.Keyed.find_or_add tbl row));
+         tbl))
   in
   let rec pull () =
     match probe.next () with
     | None -> None
     | Some x ->
-      let tbl = force_table () in
+      let tbl = Lazy.force !table in
       stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
       stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
       let matched =
-        match join_key ~null_equal probe_key x with
-        | None -> false
-        | Some k -> Relation.Row_tbl.mem tbl k
+        (null_equal || not (Relation.has_null_at probe_key x))
+        && Relation.Keyed.find tbl probe_key x >= 0
       in
       if matched <> anti then Some x else pull ()
   in
@@ -271,7 +247,7 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
       (fun () ->
         probe.close ();
         build.close ();
-        table := Some (Relation.Row_tbl.create 1));
+        table := lazy (Relation.Keyed.create build_key));
   }
 
 (* Materializing ORDER BY — the ablation baseline the planner elides when
@@ -453,7 +429,8 @@ let order_covers schema order =
   go Schema.Attr.Set.empty order
 
 let hash_unique ?(strategy = "hash-unique") ~stats op =
-  let seen = Relation.Row_tbl.create 256 in
+  let all = Array.init (Schema.Relschema.arity op.schema) Fun.id in
+  let seen = ref (Relation.Keyed.create all) in
   Stats.record_dedup stats ~strategy ~state:0;
   let rec pull () =
     match op.next () with
@@ -461,11 +438,11 @@ let hash_unique ?(strategy = "hash-unique") ~stats op =
     | Some r ->
       stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + 1;
       stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-      if Relation.Row_tbl.mem seen r then pull ()
+      let count = Relation.Keyed.count !seen in
+      if Relation.Keyed.find_or_add !seen r < count then pull ()
       else begin
-        Relation.Row_tbl.add seen r ();
         stats.Stats.dedup_state_peak <-
-          max stats.Stats.dedup_state_peak (Relation.Row_tbl.length seen);
+          max stats.Stats.dedup_state_peak (count + 1);
         stats.Stats.dedup_rows_out <- stats.Stats.dedup_rows_out + 1;
         Some r
       end
@@ -475,11 +452,11 @@ let hash_unique ?(strategy = "hash-unique") ~stats op =
     next = pull;
     rewind =
       (fun () ->
-        Relation.Row_tbl.reset seen;
+        seen := Relation.Keyed.create all;
         op.rewind ());
     close =
       (fun () ->
-        Relation.Row_tbl.reset seen;
+        seen := Relation.Keyed.create all;
         op.close ());
   }
 

@@ -96,11 +96,13 @@ val product : ?tick:(unit -> unit) -> t -> t -> t
 (** Equi-join [probe ⋈ build]; output schema is the product
     [probe × build] with rows [probe_row @ build_row]. [probe_key] /
     [build_key] are column indices into the respective schemas (parallel
-    lists, one entry per equality). With [~unique_build:true] the table
-    stores one flat row per key instead of a bucket list and every
-    matching probe early-exits with that single row — sound only when the
-    build join columns cover a candidate key of the build input; the
-    certificate is the caller's to provide (see [Optimizer.Join_plan]),
+    lists, one entry per equality). The build is a {!Relation.Keyed}
+    grouping: one flat array holding each key's rows contiguously, in
+    build order, which a matching probe replays. With
+    [~unique_build:true] only the table itself is kept (one row per key)
+    and every matching probe early-exits with that single row — sound
+    only when the build join columns cover a candidate key of the build
+    input; the certificate is the caller's to provide (see [Optimizer.Join_plan]),
     not this module's to check. Counts {!Stats.t.join_build_rows},
     {!Stats.t.join_probe_rows}, {!Stats.t.unique_builds} and
     {!Stats.t.probe_early_exits}; [tick] fires once per output row. *)
@@ -171,9 +173,9 @@ val merge_join :
     sort key and land in the same run. *)
 val order_covers : Schema.Relschema.t -> Schema.Attr.t list -> bool
 
-(** Hash-set duplicate elimination: works on any input, holds one row per
-    distinct value ({!Stats.t.dedup_state_peak} tracks the high-water
-    mark). [strategy] overrides the name recorded in the stats narration
+(** Hash-set duplicate elimination through a {!Relation.Keyed} table on
+    every column: works on any input, holds one row per distinct value
+    ({!Stats.t.dedup_state_peak} tracks the high-water mark). [strategy] overrides the name recorded in the stats narration
     (the executor uses ["sorted-unique->hash"] for fallbacks). *)
 val hash_unique : ?strategy:string -> stats:Stats.t -> t -> t
 

@@ -31,26 +31,141 @@ let compare_rows (a : row) (b : row) =
 
 let equal_rows a b = compare_rows a b = 0
 
-(* Must agree with [equal_rows]: Int 1 and Float 1.0 compare equal under
-   [Value.compare_total], so numeric values hash through their float form. *)
+(* Must agree with [equal_rows]: under [Value.compare_total] a Float
+   equals an Int exactly when it is integral and has the Int's value, so an
+   integral Float in the int range hashes as that Int. *)
 let hash_value = function
   | Value.Null -> 0x6e756c6c
-  | Value.Int i -> Hashtbl.hash (Float.of_int i)
+  | Value.Int i -> Hashtbl.hash i
+  | Value.Float f
+    when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    Hashtbl.hash (Int.of_float f)
   | Value.Float f -> Hashtbl.hash f
   | Value.String s -> Hashtbl.hash s
   | Value.Bool b -> Hashtbl.hash b
 
-let hash_row (r : row) =
-  Array.fold_left (fun h v -> (h * 31) + hash_value v) 17 r
+(* The hash of the values of [r] at positions [key], in order. *)
+let hash_at key (r : row) =
+  let h = ref 17 in
+  for j = 0 to Array.length key - 1 do
+    h := (!h * 31) + hash_value r.(key.(j))
+  done;
+  !h
 
-module Row_tbl = Hashtbl.Make (struct
-  type t = row
+let has_null_at key (r : row) = Array.exists (fun i -> Value.is_null r.(i)) key
 
-  let equal = equal_rows
-  let hash = hash_row
-end)
+(* [a] copied into an array twice as long (at least 16), padded with
+   [fill] *)
+let double a fill =
+  let b = Array.make (max 16 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let project idxs (r : row) : row = Array.map (fun i -> r.(i)) idxs
+(* Open addressing over dense ids: [slots] maps a hash to an id, and the
+   per-id arrays keep each key's hash and first row. Keys are read from
+   that row at [key], never projected, and growing the slots moves ints
+   only — a [Hashtbl] re-hashes every key through rows scattered over the
+   heap when it grows. Load stays at most 1/2, so linear probing ends
+   quickly. *)
+module Keyed = struct
+  type t = {
+    key : int array;
+    mutable slots : int array;  (* an id, or -1 when free *)
+    mutable hashes : int array;  (* by id *)
+    mutable firsts : row array;  (* by id *)
+    mutable count : int;
+  }
+
+  let create key =
+    { key; slots = Array.make 64 (-1); hashes = [||]; firsts = [||]; count = 0 }
+
+  let count t = t.count
+  let first t id = t.firsts.(id)
+
+  (* [stored] at [key] against [probe] at [probe_key], from column [j];
+     the hot loops below are top-level functions so that no closure is
+     allocated per lookup *)
+  let rec same_key key (stored : row) probe_key (probe : row) j =
+    j = Array.length probe_key
+    || Value.compare_total stored.(key.(j)) probe.(probe_key.(j)) = 0
+       && same_key key stored probe_key probe (j + 1)
+
+  let rec free_slot slots mask i =
+    if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
+
+  let grow_slots t =
+    let cap = 2 * Array.length t.slots in
+    let slots = Array.make cap (-1) and mask = cap - 1 in
+    for id = 0 to t.count - 1 do
+      slots.(free_slot slots mask (t.hashes.(id) land mask)) <- id
+    done;
+    t.slots <- slots
+
+  (* The slot holding [probe]'s key, or the free slot where it belongs,
+     searching from slot [i]. *)
+  let rec slot t h probe_key probe i =
+    let id = t.slots.(i) in
+    if id < 0
+       || (t.hashes.(id) = h && same_key t.key t.firsts.(id) probe_key probe 0)
+    then i
+    else slot t h probe_key probe ((i + 1) land (Array.length t.slots - 1))
+
+  let find t probe_key probe =
+    let h = hash_at probe_key probe in
+    t.slots.(slot t h probe_key probe (h land (Array.length t.slots - 1)))
+
+  let find_or_add t row =
+    let h = hash_at t.key row in
+    let i = slot t h t.key row (h land (Array.length t.slots - 1)) in
+    let id = t.slots.(i) in
+    if id >= 0 then id
+    else begin
+      let id = t.count in
+      if id = Array.length t.firsts then begin
+        t.hashes <- double t.hashes 0;
+        t.firsts <- double t.firsts row
+      end;
+      t.slots.(i) <- id;
+      t.hashes.(id) <- h;
+      t.firsts.(id) <- row;
+      t.count <- id + 1;
+      if 2 * t.count > Array.length t.slots then grow_slots t;
+      id
+    end
+
+  type groups = { ids : t; starts : int array; rows : row array }
+
+  (* Counting sort by id: [starts.(id)] counts rows up to and including
+     [id], then the backward placement pass turns it into the start of
+     [id]'s run while keeping arrival order within each run. *)
+  let group key feed =
+    let ids = create key in
+    let row_ids = ref [||] and arrived = ref [||] and n = ref 0 in
+    feed (fun row ->
+        let id = find_or_add ids row in
+        if !n = Array.length !arrived then begin
+          row_ids := double !row_ids 0;
+          arrived := double !arrived row
+        end;
+        !row_ids.(!n) <- id;
+        !arrived.(!n) <- row;
+        incr n);
+    let row_ids = !row_ids and arrived = !arrived and n = !n in
+    let starts = Array.make (ids.count + 1) 0 in
+    for r = 0 to n - 1 do
+      starts.(row_ids.(r)) <- starts.(row_ids.(r)) + 1
+    done;
+    for id = 1 to ids.count do
+      starts.(id) <- starts.(id) + starts.(id - 1)
+    done;
+    let rows = Array.make n [||] in
+    for r = n - 1 downto 0 do
+      let id = row_ids.(r) in
+      starts.(id) <- starts.(id) - 1;
+      rows.(starts.(id)) <- arrived.(r)
+    done;
+    { ids; starts; rows }
+end
 
 let dedup_sorted ?(tick = fun () -> ()) rows =
   match rows with
@@ -81,15 +196,9 @@ let equal_bags a b =
   List.for_all2 (fun x y -> compare_rows x y = 0) sa sb
 
 let distinct_count t =
-  match sort_rows t.rows with
-  | [] -> 0
-  | first :: rest ->
-    let count, _ =
-      List.fold_left
-        (fun (n, prev) r -> if compare_rows prev r = 0 then (n, r) else (n + 1, r))
-        (1, first) rest
-    in
-    count
+  let k = Keyed.create (Array.init (Schema.Relschema.arity t.schema) Fun.id) in
+  List.iter (fun r -> ignore (Keyed.find_or_add k r)) t.rows;
+  Keyed.count k
 
 let pp ppf t =
   Format.fprintf ppf "%a: %d rows" Schema.Relschema.pp t.schema

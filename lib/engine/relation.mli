@@ -23,20 +23,49 @@ val compare_rows : row -> row -> int
     [Int 1] equals [Float 1.0], as in [Value.compare_total]). *)
 val equal_rows : row -> row -> bool
 
-(** Hash consistent with {!equal_rows} (numerics hash through their float
-    form so [Int 1] and [Float 1.0] collide on purpose). *)
-val hash_row : row -> int
+(** Whether [row] holds NULL at any of the positions — a key that
+    WHERE-equality can match to nothing. *)
+val has_null_at : int array -> row -> bool
 
-(** Hash table keyed by whole rows under {!equal_rows}/{!hash_row} — the
-    shared state container of hash-based duplicate elimination. *)
-module Row_tbl : Hashtbl.S with type key = row
+(** The one keyed hash table: every hash join, semi-join, EXISTS index,
+    hash DISTINCT, hash aggregation and key-constraint check goes through
+    it. A table is created over key positions and numbers the distinct
+    keys it is given 0, 1, … in first-seen order. Keys are compared
+    with {!equal_rows} semantics (per-column [Value.compare_total]: NULL
+    equals NULL, [Int 1] equals [Float 1.0]) and hashed consistently with
+    it (an integral [Float] hashes as the [Int] of its value). They are
+    read at their positions in the stored row, so no key is ever
+    projected into an array of its own. *)
+module Keyed : sig
+  type t
 
-(** [project idxs row] is the values of [row] at [idxs], in order — the
-    one key format of hash joins, EXISTS indexes and key-constraint
-    validation (and what hash aggregation hashes with {!hash_row}),
-    looked up through {!Row_tbl} so key equality is {!equal_rows}: typed
-    values, never their printed form. *)
-val project : int array -> row -> row
+  (** An empty table keyed on the given column positions. *)
+  val create : int array -> t
+
+  (** The number of distinct keys added so far. *)
+  val count : t -> int
+
+  (** The id of [row]'s key, adding the key (and keeping [row] as its
+      first row) with id [count t] when it is new. *)
+  val find_or_add : t -> row -> int
+
+  (** [find t probe_key probe] is the id of the key [probe] holds at
+      positions [probe_key] (parallel to the table's key positions), or
+      [-1] when no stored key equals it. *)
+  val find : t -> int array -> row -> int
+
+  (** The first row added with key id [id]. *)
+  val first : t -> int -> row
+
+  (** Rows grouped by key in one flat array: the rows of key id [i] are
+      [rows.(starts.(i)) .. rows.(starts.(i+1) - 1)], in the order they
+      arrived. *)
+  type groups = { ids : t; starts : int array; rows : row array }
+
+  (** [group key feed] groups the rows [feed] passes to its argument by
+      their values at [key]. *)
+  val group : int array -> ((row -> unit) -> unit) -> groups
+end
 
 (** Remove adjacent duplicates from a list sorted by {!compare_rows};
     [tick] counts one call per row-to-row comparison. *)

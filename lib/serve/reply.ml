@@ -31,6 +31,12 @@ let process cache cat ~label sql =
     | exception Sql.Lexer.Lex_error (msg, off) ->
       Format.fprintf ppf "%s lex error at byte %d: %s@." label off msg;
       Error
+    | exception Stack_overflow ->
+      Format.fprintf ppf "%s parse error: input nested too deeply@." label;
+      Error
+    | exception e ->
+      Format.fprintf ppf "%s parse error: %s@." label (Printexc.to_string e);
+      Error
     | q -> (
       try
         let cls =

@@ -48,7 +48,8 @@ type conn = {
   fd : Unix.file_descr;
   out_fd : Unix.file_descr;
   framed : bool;
-  buf : Buffer.t;
+  buf : Buffer.t;  (* the partial line read so far *)
+  mutable discarding : bool;  (* inside a line refused as too long *)
   mutable next_id : int;
   mutable open_ : bool;
 }
@@ -178,23 +179,43 @@ let handle_line t conn line =
     end
   end
 
-(* Complete lines accumulated in the connection buffer; the trailing
-   partial line stays buffered (delivered on EOF if non-empty). *)
-let take_lines conn ~eof =
-  let s = Buffer.contents conn.buf in
-  let rec go start acc =
+(* The longest request line the server buffers. A longer one is refused
+   with "<label> line too long" as soon as it outgrows the limit, and the
+   rest of it is dropped up to its newline. *)
+let max_line_bytes = 1 lsl 20
+
+(* The refusal is answered in request order, like any other reply. *)
+let refuse_long_line t conn =
+  drain_pending t;
+  conn.next_id <- conn.next_id + 1;
+  send conn (Printf.sprintf "[%d] line too long\n" conn.next_id);
+  Buffer.clear conn.buf;
+  conn.discarding <- true
+
+let add_to_line t conn s start stop =
+  if not conn.discarding then
+    if Buffer.length conn.buf + (stop - start) > max_line_bytes then
+      refuse_long_line t conn
+    else Buffer.add_substring conn.buf s start (stop - start)
+
+(* Split newly read bytes into lines. Only the new bytes are scanned, and
+   the trailing partial line stays buffered (handled on EOF if
+   non-empty). *)
+let take_lines t conn s =
+  let rec go start =
     match String.index_from_opt s start '\n' with
-    | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
-    | None ->
-      let rest = String.sub s start (String.length s - start) in
-      Buffer.clear conn.buf;
-      if eof then List.rev (if rest = "" then acc else rest :: acc)
+    | Some i ->
+      add_to_line t conn s start i;
+      if conn.discarding then conn.discarding <- false
       else begin
-        Buffer.add_string conn.buf rest;
-        List.rev acc
-      end
+        let line = Buffer.contents conn.buf in
+        Buffer.clear conn.buf;
+        handle_line t conn line
+      end;
+      go (i + 1)
+    | None -> add_to_line t conn s start (String.length s)
   in
-  go 0 []
+  go 0
 
 let read_conn t conn =
   let chunk = Bytes.create 65536 in
@@ -203,11 +224,10 @@ let read_conn t conn =
     -> ()
   | exception Unix.Unix_error _ -> conn.open_ <- false
   | 0 ->
-    List.iter (handle_line t conn) (take_lines conn ~eof:true);
+    if Buffer.length conn.buf > 0 then handle_line t conn (Buffer.contents conn.buf);
+    Buffer.clear conn.buf;
     conn.open_ <- false
-  | n ->
-    Buffer.add_subbytes conn.buf chunk 0 n;
-    List.iter (handle_line t conn) (take_lines conn ~eof:false)
+  | n -> take_lines t conn (Bytes.sub_string chunk 0 n)
 
 (* ---- the loop ---- *)
 
@@ -218,7 +238,7 @@ let accept_conn t fd =
     t.conns <-
       t.conns
       @ [ { fd = client; out_fd = client; framed = true; buf = Buffer.create 256;
-            next_id = 0; open_ = true } ]
+            discarding = false; next_id = 0; open_ = true } ]
 
 let live_conns t = List.filter (fun c -> c.open_) t.conns
 
@@ -248,7 +268,8 @@ let run cfg cat cache =
           conns =
             (if cfg.use_stdin then
                [ { fd = Unix.stdin; out_fd = Unix.stdout; framed = false;
-                   buf = Buffer.create 256; next_id = 0; open_ = true } ]
+                   buf = Buffer.create 256; discarding = false; next_id = 0;
+                   open_ = true } ]
              else []);
           pending = Queue.create ();
           hists =

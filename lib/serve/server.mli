@@ -18,6 +18,10 @@
       that the server replies ["<label> overloaded"] immediately instead
       of buffering without bound. Labels are per-connection request
       numbers ["[1]"], ["[2]"], … so replies correlate with requests.
+    - A request line longer than 1 MiB is refused with
+      ["<label> line too long"] once it outgrows the limit, and the rest
+      of it is skipped up to its newline. The server never buffers more
+      than that per connection, and reads each byte once.
 
     Admitted requests dispatch in arrival order, at most [max_batch] per
     {!Analysis_cache.epoch}, through {!Reply.run_batch} on a

@@ -21,14 +21,17 @@ let type_rank = function
   | Float _ -> 3
   | String _ -> 4
 
-(* Numeric comparison crosses Int/Float, as SQL does. *)
-let numeric_pair a b =
-  match a, b with
-  | Int x, Int y -> Some (Float.of_int x, Float.of_int y)
-  | Int x, Float y -> Some (Float.of_int x, y)
-  | Float x, Int y -> Some (x, Float.of_int y)
-  | Float x, Float y -> Some (x, y)
-  | (Null | Int _ | Float _ | String _ | Bool _), _ -> None
+(* Numeric comparison crosses Int/Float, as SQL does, and exactly: going
+   through [Float.of_int] would round Int 2^53+1 to Float 2^53 and make
+   the order intransitive. Int values lie in [-2^62, 2^62), where
+   [Int.of_float] truncates exactly; NaN sorts below every number, as
+   under [Float.compare]. *)
+let compare_int_float x y =
+  if Float.is_nan y || y < -0x1p62 then 1
+  else if y >= 0x1p62 then -1
+  else
+    let t = Int.of_float y in
+    if x <> t then Int.compare x t else Float.compare (Float.trunc y) y
 
 let compare_total a b =
   match a, b with
@@ -37,10 +40,8 @@ let compare_total a b =
   | Float x, Float y -> Float.compare x y
   | String x, String y -> String.compare x y
   | Bool x, Bool y -> Bool.compare x y
-  | (Int _ | Float _), (Int _ | Float _) ->
-    (match numeric_pair a b with
-     | Some (x, y) -> Float.compare x y
-     | None -> assert false)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | (Null | Int _ | Float _ | String _ | Bool _), _ ->
     Int.compare (type_rank a) (type_rank b)
 

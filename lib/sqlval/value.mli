@@ -26,7 +26,10 @@ val equal : t -> t -> bool
 val equal_null : t -> t -> bool
 
 (** Total order for sorting and duplicate elimination: [Null] sorts first and
-    equals itself; values of distinct types are ordered by type tag. *)
+    equals itself; [Int] and [Float] compare by exact numeric value (so
+    [Int 1] equals [Float 1.0], and [Int (2{^53} + 1)] is above
+    [Float 2{^53}]); other values of distinct types are ordered by type
+    tag. *)
 val compare_total : t -> t -> int
 
 (** {1 Three-valued comparisons (WHERE-clause semantics)} *)

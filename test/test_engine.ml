@@ -565,6 +565,167 @@ let test_operator_semi_join () =
     [ [ 1 ] ]
     (List.map ints_of (Operator.to_rows anti_eq))
 
+(* Build rows of one key arrive interleaved with other keys; each probe
+   replays its key's rows in build order, which is what keeps a merge
+   join over the sorted inputs list-equal to the hash join. *)
+let test_operator_hash_join_build_order () =
+  let build_rows =
+    [ [| v_int 1; v_int 10 |]; [| v_int 2; v_int 20 |];
+      [| v_int 1; v_int 11 |]; [| v_int 2; v_int 21 |];
+      [| v_int 1; v_int 12 |] ]
+  in
+  let hash probe build =
+    Operator.to_rows
+      (Operator.hash_join ~stats:(Stats.create ()) ~probe_key:[ 0 ]
+         ~build_key:[ 0 ]
+         (Operator.of_rows (int_schema [ "A" ]) probe)
+         (Operator.of_rows (int_schema ~rel:"U" [ "K"; "V" ]) build))
+  in
+  Alcotest.(check (list (list int)))
+    "each key's rows in build order, probe-major"
+    [ [ 2; 2; 20 ]; [ 2; 2; 21 ]; [ 1; 1; 10 ]; [ 1; 1; 11 ]; [ 1; 1; 12 ];
+      [ 2; 2; 20 ]; [ 2; 2; 21 ] ]
+    (List.map ints_of
+       (hash [ [| v_int 2 |]; [| v_int 1 |]; [| v_int 2 |] ] build_rows));
+  let probe = [ [| v_int 1 |]; [| v_int 2 |]; [| v_int 2 |] ] in
+  let build = List.stable_sort Relation.compare_rows build_rows in
+  let merge =
+    Operator.to_rows
+      (Operator.merge_join ~stats:(Stats.create ()) ~probe_key:[ 0 ]
+         ~build_key:[ 0 ]
+         (Operator.of_rows ~order:[ attr "A" ] (int_schema [ "A" ]) probe)
+         (Operator.of_rows ~order:[ attr ~rel:"U" "K" ]
+            (int_schema ~rel:"U" [ "K"; "V" ])
+            build))
+  in
+  Alcotest.(check (list (list int)))
+    "list-equal to the merge join over the sorted inputs"
+    (List.map ints_of merge)
+    (List.map ints_of (hash probe build))
+
+(* ---- the keyed hash table ---- *)
+
+(* Values whose numeric forms straddle ±2^53, where consecutive integers
+   stop being floats, and the edges of the int range. *)
+let numeric_edge_gen =
+  let p53 = 1 lsl 53 in
+  let ints =
+    List.concat_map (fun d -> [ Value.Int (p53 + d); Value.Int (-p53 - d) ])
+      [ -3; -2; -1; 0; 1; 2; 3 ]
+  in
+  let floats =
+    List.map (fun f -> Value.Float f)
+      [ 0x1p53; 0x1p53 -. 1.; 0x1p53 +. 2.; -0x1p53; -0x1p53 +. 1.;
+        -0x1p53 -. 2.; 0x1p53 -. 0.5; 0.; -0.; 0.5; 1.; Float.nan;
+        Float.infinity; Float.neg_infinity; 0x1p62; -0x1p62; 0x1p62 -. 1024. ]
+  in
+  QCheck2.Gen.oneofl
+    (ints @ floats
+    @ [ Value.Int 0; Value.Int 1; Value.Int max_int; Value.Int min_int;
+        Value.Null; Value.String "x" ])
+
+let sign c = compare c 0
+
+let prop_exact_numeric_order =
+  QCheck2.Test.make ~name:"exact Int/Float order: transitive, Keyed agrees"
+    ~count:3000
+    QCheck2.Gen.(triple numeric_edge_gen numeric_edge_gen numeric_edge_gen)
+    ~print:(fun (a, b, c) ->
+      String.concat ", " (List.map Value.to_string [ a; b; c ]))
+    (fun (a, b, c) ->
+      let cmp = Value.compare_total in
+      sign (cmp a b) = - sign (cmp b a)
+      && ((not (cmp a b <= 0 && cmp b c <= 0)) || cmp a c <= 0)
+      &&
+      let t = Relation.Keyed.create [| 0 |] in
+      ignore (Relation.Keyed.find_or_add t [| a |]);
+      (cmp a b = 0) = (Relation.Keyed.find t [| 0 |] [| b |] = 0))
+
+(* Keyed against a sort-based reference on random rows whose key columns
+   (0 and 1) mix NULL, Int n and Float n; with up to ~300 distinct keys
+   the table grows its 64 slots at least three times. *)
+let keyed_rows_gen =
+  let open QCheck2.Gen in
+  let num n = oneofl [ Value.Int n; Value.Float (float_of_int n) ] in
+  let value k =
+    frequency [ (1, return Value.Null); (12, int_range 0 k >>= num) ]
+  in
+  list_size (int_range 300 600)
+    (map (fun (a, b, c) -> [| a; b; c |]) (triple (value 40) (value 6) (value 9)))
+
+let prop_keyed_matches_sort_reference =
+  QCheck2.Test.make ~name:"Keyed agrees with a sort-based reference" ~count:60
+    keyed_rows_gen (fun rows ->
+      let key = [| 0; 1 |] in
+      let rows = Array.of_list rows in
+      let key_of r = [| r.(0); r.(1) |] in
+      (* reference ids: distinct keys ranked by first occurrence, found by
+         sorting (key, position) pairs *)
+      let sorted =
+        List.stable_sort
+          (fun (a, _) (b, _) -> Relation.compare_rows a b)
+          (List.init (Array.length rows) (fun i -> (key_of rows.(i), i)))
+      in
+      let rec firsts acc = function
+        | [] -> List.rev acc
+        | (k, i) :: rest ->
+          let rest =
+            List.filter (fun (k', _) -> not (Relation.equal_rows k k')) rest
+          in
+          firsts (i :: acc) rest
+      in
+      let first_seen = List.sort compare (firsts [] sorted) in
+      let ref_id r =
+        let rec go id = function
+          | [] -> -1
+          | i :: rest ->
+            if Relation.equal_rows (key_of rows.(i)) (key_of r) then id
+            else go (id + 1) rest
+        in
+        go 0 first_seen
+      in
+      let t = Relation.Keyed.create key in
+      let ids = Array.map (Relation.Keyed.find_or_add t) rows in
+      let ids_ok = Array.for_all2 (fun r id -> id = ref_id r) rows ids in
+      let firsts_ok =
+        List.for_all2
+          (fun id i -> Relation.Keyed.first t id == rows.(i))
+          (List.init (Relation.Keyed.count t) Fun.id)
+          first_seen
+      in
+      (* [find] through another layout: key columns at 2 and 0, with the
+         numeric forms swapped (Int n probes Float n and back) *)
+      let swap = function
+        | Value.Int n -> Value.Float (float_of_int n)
+        | Value.Float f -> Value.Int (int_of_float f)
+        | v -> v
+      in
+      let probe_ok r =
+        let probe = [| swap r.(1); v_int 99; swap r.(0) |] in
+        Relation.Keyed.find t [| 2; 0 |] probe = ref_id r
+        && Relation.Keyed.find t [| 2; 0 |] [| v_int 7; v_int 0; v_int 41 |]
+           = -1
+      in
+      (* grouping keeps each key's rows in arrival order *)
+      let g = Relation.Keyed.group key (fun add -> Array.iter add rows) in
+      let groups_ok =
+        Array.for_all
+          (fun r ->
+            let id = Relation.Keyed.find g.Relation.Keyed.ids key r in
+            let run =
+              Array.sub g.Relation.Keyed.rows g.Relation.Keyed.starts.(id)
+                (g.Relation.Keyed.starts.(id + 1) - g.Relation.Keyed.starts.(id))
+            in
+            Array.to_list run
+            = List.filter
+                (fun r' -> Relation.equal_rows (key_of r) (key_of r'))
+                (Array.to_list rows))
+          rows
+      in
+      Relation.Keyed.count t = List.length first_seen
+      && Relation.Keyed.count t > 128
+      && ids_ok && firsts_ok && Array.for_all probe_ok rows && groups_ok)
+
 (* ---- planned join orders and the bounded scan cache ---- *)
 
 let test_planned_join_orders_agree () =
@@ -663,16 +824,13 @@ let test_scan_cache_bounded () =
 
 (* ---- duplicate-elimination strategies under the full executor ---- *)
 
+(* quadratic on purpose: shares nothing with the hash table under test *)
 let naive_distinct rows =
-  let seen = Relation.Row_tbl.create 64 in
-  List.filter
-    (fun r ->
-      if Relation.Row_tbl.mem seen r then false
-      else begin
-        Relation.Row_tbl.add seen r ();
-        true
-      end)
-    rows
+  List.rev
+    (List.fold_left
+       (fun kept r ->
+         if List.exists (Relation.equal_rows r) kept then kept else r :: kept)
+       [] rows)
 
 (* Every strategy must agree with a naive dedup of the SELECT ALL rows, on
    seeded random schemas/queries/instances from the difftest generator. *)
@@ -902,7 +1060,12 @@ let () =
             test_operator_hash_join_rewind;
           Alcotest.test_case "semi_join and anti variants" `Quick
             test_operator_semi_join;
+          Alcotest.test_case "hash_join replays interleaved keys in build order"
+            `Quick test_operator_hash_join_build_order;
         ] );
+      ( "keyed",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_exact_numeric_order; prop_keyed_matches_sort_reference ] );
       ( "join",
         [
           Alcotest.test_case "every planned order agrees" `Quick

@@ -226,6 +226,48 @@ let test_overloaded_rejection_and_stats () =
     (Unix.read fd eof 0 1);
   Unix.close fd
 
+(* a line with no newline in sight is refused once it outgrows the
+   limit; the server reads each byte once (buffering all 16 MiB and
+   re-scanning it on every read took seconds), and the session goes on *)
+let test_long_line_refused () =
+  with_server "long" @@ fun path ->
+  let fd = connect path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  let t0 = Unix.gettimeofday () in
+  write_all fd (String.make (16 lsl 20) 'x');
+  send_lines fd [ ""; List.nth queries 0 ];
+  let blocks = read_blocks fd 2 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Unix.close fd;
+  Alcotest.(check (list string))
+    "refused, then a normal reply"
+    [ "[1] line too long";
+      "[2] unique(alg1)=true unique(fd)=true rewrites=1 final=SELECT ALL \
+       S.SNO FROM SUPPLIER S WHERE S.SNO = 's1'" ]
+    blocks;
+  Alcotest.(check bool)
+    (Printf.sprintf "16 MiB handled in linear time (%.2f s)" elapsed)
+    true (elapsed < 2.)
+
+(* whatever the parser raises is a typed parse error, a stack overflow
+   included *)
+let test_deep_nesting_is_a_parse_error () =
+  let n = 1_000_000 in
+  let sql =
+    "SELECT S.SNO FROM SUPPLIER S WHERE " ^ String.make n '(' ^ "S.SNO = 1"
+    ^ String.make n ')'
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.stack_limit = 1 lsl 20 };
+  let text, cls =
+    Fun.protect
+      ~finally:(fun () -> Gc.set gc)
+      (fun () -> Reply.process (Analysis_cache.create ()) catalog ~label:"[1]" sql)
+  in
+  Alcotest.(check string) "typed reply" "[1] parse error: input nested too deeply\n"
+    text;
+  Alcotest.(check bool) "error class" true (cls = Reply.Error)
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol",
@@ -236,4 +278,8 @@ let () =
           Alcotest.test_case "oversized literal, then a good request" `Quick
             test_oversized_literal_then_good_request;
           Alcotest.test_case "overloaded + stats + shutdown" `Quick
-            test_overloaded_rejection_and_stats ] ) ]
+            test_overloaded_rejection_and_stats;
+          Alcotest.test_case "16 MiB line refused in linear time" `Quick
+            test_long_line_refused;
+          Alcotest.test_case "deep nesting is a parse error" `Quick
+            test_deep_nesting_is_a_parse_error ] ) ]
