@@ -237,7 +237,9 @@ let compile ?config db ~hosts plan : Operator.t =
   let sort_counting rows =
     stats.Stats.sorts <- stats.Stats.sorts + 1;
     stats.Stats.sorted_rows <- stats.Stats.sorted_rows + List.length rows;
-    Relation.sort_rows ~tick:tick_compare rows
+    let rows = Array.of_list rows in
+    Relation.sort_rows ~tick:tick_compare rows;
+    Array.to_list rows
   in
   (* Evaluate a predicate for the row in [frames] (innermost first). *)
   let rec eval_pred frames pred =

@@ -88,8 +88,9 @@ type join_impl =
 (** How a plan's [Sort] node (an [ORDER BY]) executes. *)
 type sort_impl =
   | Materialize_sort
-      (** {!Operator.sort}: drain and stable-sort — the O(n log n)
-          ablation baseline (default) *)
+      (** {!Operator.sort}: drain, then sort only the distinct keys when
+          there are at most n/4 of them, else stable-sort the rows
+          (default) *)
   | Elided_sort
       (** pass-through standing where the sort used to be. The engine does
           NOT re-check the ordering claim — select this only with an

@@ -1,5 +1,3 @@
-module Value = Sqlval.Value
-
 type t = {
   schema : Schema.Relschema.t;
   order : Schema.Attr.t list;
@@ -250,37 +248,87 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
         table := lazy (Relation.Keyed.create build_key));
   }
 
-(* Materializing ORDER BY — the ablation baseline the planner elides when
-   order provenance already proves the stream sorted. The comparator is
-   [Value.compare_total] per key column, so NULLs sort first and the
-   result agrees byte-for-byte with [Database.load_sorted] verification
-   and [merge_join]. The sort is stable: on an input already sorted on
-   the keys it is the identity, which is what makes the elided strategy
-   list-equal to this baseline (equal-key rows keep arrival order in
-   both). *)
-let sort ~stats keys op =
-  let idxs = List.map (Schema.Relschema.index_of op.schema) keys in
-  let compare_keys (a : Relation.row) (b : Relation.row) =
-    stats.Stats.comparisons <- stats.Stats.comparisons + 1;
-    let rec go = function
-      | [] -> 0
-      | i :: rest ->
-        (match Value.compare_total a.(i) b.(i) with 0 -> go rest | c -> c)
-    in
-    go idxs
-  in
-  of_lazy ~order:keys op.schema (fun () ->
-      let rows =
-        let rec drain acc =
-          match op.next () with Some r -> drain (r :: acc) | None -> List.rev acc
-        in
-        let rows = drain [] in
-        op.close ();
-        rows
+(* Drain into an array and close the operator. *)
+let to_array op =
+  let rec go buf n =
+    match op.next () with
+    | None ->
+      op.close ();
+      Array.sub buf 0 n
+    | Some r ->
+      let buf =
+        if n < Array.length buf then buf
+        else begin
+          let grown = Array.make (max 16 (2 * n)) r in
+          Array.blit buf 0 grown 0 n;
+          grown
+        end
       in
-      stats.Stats.sorts <- stats.Stats.sorts + 1;
-      stats.Stats.sorted_rows <- stats.Stats.sorted_rows + List.length rows;
-      List.stable_sort compare_keys rows)
+      buf.(n) <- r;
+      go buf (n + 1)
+  in
+  go [||] 0
+
+(* Materializing ORDER BY — what the planner elides when order provenance
+   already proves the stream sorted. The order is [Value.compare_total]
+   per key column, so NULLs sort first and the result agrees byte-for-byte
+   with [Database.load_sorted] verification and [merge_join]. The sort is
+   stable: on an input already sorted on the keys it is the identity,
+   which is what makes the elided strategy list-equal to it (equal-key
+   rows keep arrival order in both).
+
+   The path depends on the drained input's distinct-key count d. While d
+   stays at most n/4, a [Relation.Keyed] table numbers the keys, only the
+   d distinct keys are sorted (d log d comparisons), and one counting
+   pass lays the rows out by key rank, in arrival order within a key.
+   Past n/4 the numbering stops and the rows themselves are stable-sorted
+   on the key positions. *)
+let sort ~stats keys op =
+  let key = Array.of_list (List.map (Schema.Relschema.index_of op.schema) keys) in
+  let tick () = stats.Stats.comparisons <- stats.Stats.comparisons + 1 in
+  let sorted rows =
+    let n = Array.length rows in
+    stats.Stats.sorts <- stats.Stats.sorts + 1;
+    stats.Stats.sorted_rows <- stats.Stats.sorted_rows + n;
+    match Relation.Keyed.number ~limit:(n / 4) key rows with
+    | None ->
+      Relation.sort_rows ~tick ~key rows;
+      rows
+    | Some (ids, row_ids) ->
+      let d = Relation.Keyed.count ids in
+      let keys_sorted = Array.init d (Relation.Keyed.first ids) in
+      Relation.sort_rows ~tick ~key keys_sorted;
+      let rank = Array.make d 0 in
+      Array.iteri
+        (fun k first -> rank.(Relation.Keyed.find ids key first) <- k)
+        keys_sorted;
+      Array.iteri (fun r id -> row_ids.(r) <- rank.(id)) row_ids;
+      snd (Relation.Keyed.layout d row_ids rows n)
+  in
+  (* drained and sorted on the first pull, so construction stays pure *)
+  let rows = ref None and pos = ref 0 in
+  let next () =
+    let rows =
+      match !rows with
+      | Some r -> r
+      | None ->
+        let r = sorted (to_array op) in
+        rows := Some r;
+        r
+    in
+    if !pos < Array.length rows then begin
+      incr pos;
+      Some rows.(!pos - 1)
+    end
+    else None
+  in
+  {
+    schema = op.schema;
+    order = keys;
+    next;
+    rewind = (fun () -> pos := 0);
+    close = (fun () -> rows := Some [||]; pos := 0);
+  }
 
 (* Streaming sort-merge join: legal only when the planner certified both
    inputs' verified orders cover the join keys as a prefix (the engine
@@ -293,13 +341,12 @@ let sort ~stats keys op =
 let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
   stats.Stats.merge_joins <- stats.Stats.merge_joins + 1;
   let schema = Schema.Relschema.product probe.schema build.schema in
-  let key_vals row idxs =
-    let vals = List.map (fun i -> row.(i)) idxs in
-    if List.exists Value.is_null vals then None else Some vals
-  in
-  let compare_keys a b =
+  let probe_key = Array.of_list probe_key
+  and build_key = Array.of_list build_key in
+  (* keys are compared in place, at their positions in the rows *)
+  let compare_keys ka a kb b =
     stats.Stats.comparisons <- stats.Stats.comparisons + 1;
-    List.compare Value.compare_total a b
+    Relation.compare_at ka a kb b
   in
   (* lookahead: the next build row not yet assigned to a group *)
   let build_ahead = ref None in
@@ -319,43 +366,43 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
             None
           | Some r ->
             stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-            (match key_vals r build_key with
-             | None -> pull ()  (* NULL join key: matches nothing *)
-             | Some k -> Some (k, r))
+            (* NULL join key: matches nothing *)
+            if Relation.has_null_at build_key r then pull () else Some r
         in
         pull ()
       end
   in
-  (* current build group: all build rows sharing [group_key], in order *)
-  let group_key = ref None in
+  (* current build group: all build rows sharing the key of the probe row
+     [group_probe], in order *)
+  let group_probe = ref None in
   let group = ref [] in
-  (* Advance the build cursor until its key is >= [k]; collect the group
-     at [k] (possibly empty). Build keys are nondecreasing (certified), so
-     skipped groups can never match a later probe key either: probe keys
-     are nondecreasing too. *)
-  let load_group k =
+  (* Advance the build cursor until its key is >= probe row [x]'s; collect
+     the group at that key (possibly empty). Build keys are nondecreasing
+     (certified), so skipped groups can never match a later probe key
+     either: probe keys are nondecreasing too. *)
+  let load_group x =
     let rec skip () =
       match next_build () with
       | None -> []
-      | Some (bk, r) ->
-        let c = compare_keys bk k in
+      | Some r ->
+        let c = compare_keys build_key r probe_key x in
         if c < 0 then skip ()
         else if c = 0 then collect [ r ]
         else begin
-          build_ahead := Some (bk, r);
+          build_ahead := Some r;
           []
         end
     and collect acc =
       match next_build () with
       | None -> List.rev acc
-      | Some (bk, r) ->
-        if compare_keys bk k = 0 then collect (r :: acc)
+      | Some r ->
+        if compare_keys build_key r probe_key x = 0 then collect (r :: acc)
         else begin
-          build_ahead := Some (bk, r);
+          build_ahead := Some r;
           List.rev acc
         end
     in
-    group_key := Some k;
+    group_probe := Some x;
     group := skip ()
   in
   let current = ref None in
@@ -374,21 +421,21 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
        | None -> None
        | Some x ->
          stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
-         (match key_vals x probe_key with
-          | None -> pull ()
-          | Some k ->
-            let same =
-              match !group_key with
-              | Some gk -> compare_keys gk k = 0
-              | None -> false
-            in
-            if not same then load_group k;
-            (match !group with
-             | [] -> pull ()
-             | rows ->
-               current := Some x;
-               pending := rows;
-               pull ())))
+         if Relation.has_null_at probe_key x then pull ()
+         else begin
+           let same =
+             match !group_probe with
+             | Some g -> compare_keys probe_key g probe_key x = 0
+             | None -> false
+           in
+           if not same then load_group x;
+           match !group with
+           | [] -> pull ()
+           | rows ->
+             current := Some x;
+             pending := rows;
+             pull ()
+         end)
   in
   {
     schema;
@@ -400,7 +447,7 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
         build.rewind ();
         build_ahead := None;
         build_done := false;
-        group_key := None;
+        group_probe := None;
         group := [];
         current := None;
         pending := []);
@@ -410,7 +457,7 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
         build.close ();
         build_ahead := None;
         build_done := true;
-        group_key := None;
+        group_probe := None;
         group := [];
         current := None;
         pending := []);

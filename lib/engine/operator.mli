@@ -135,16 +135,20 @@ val semi_join :
 
 (** {1 Ordering} *)
 
-(** Materializing ORDER BY — the ablation baseline the planner elides when
-    order provenance already proves the stream sorted. Drains the input on
-    the first pull (construction stays pure) and stable-sorts it on the
-    key columns under {!Sqlval.Value.compare_total}, so NULLs sort first
-    and the result agrees byte-for-byte with {!Database.load_sorted}
-    verification and {!merge_join}. Stability makes it the identity on an
-    input already sorted on the keys — which is exactly what makes the
-    certified elided strategy list-equal to this baseline. Output order
-    provenance is the key list. Counts {!Stats.t.sorts},
-    {!Stats.t.sorted_rows} and {!Stats.t.comparisons}. *)
+(** Materializing ORDER BY — what the planner elides when order
+    provenance already proves the stream sorted. Drains the input on the
+    first pull (construction stays pure); the output is list-equal to a
+    stable sort on the key columns under {!Sqlval.Value.compare_total}, so
+    NULLs sort first and the result agrees byte-for-byte with
+    {!Database.load_sorted} verification and {!merge_join}. Stability
+    makes it the identity on an input already sorted on the keys — which
+    is exactly what makes the certified elided strategy list-equal to it.
+    With at most n/4 distinct keys over n rows it sorts only the distinct
+    keys ({!Relation.Keyed.number}) and lays the rows out by key rank in
+    one counting pass ({!Relation.Keyed.layout}); with more it
+    stable-sorts the rows ({!Relation.sort_rows}). Output order provenance
+    is the key list. Counts {!Stats.t.sorts}, {!Stats.t.sorted_rows} and
+    {!Stats.t.comparisons}. *)
 val sort : stats:Stats.t -> Schema.Attr.t list -> t -> t
 
 (** Streaming sort-merge equi-join [probe ⋈ build]: both inputs must be

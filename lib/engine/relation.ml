@@ -20,14 +20,26 @@ let make schema rows =
 
 let cardinality t = List.length t.rows
 
-let compare_rows (a : row) (b : row) =
-  let n = Array.length a in
-  let rec go i =
-    if i >= n then 0
-    else
-      match Value.compare_total a.(i) b.(i) with 0 -> go (i + 1) | c -> c
-  in
-  go 0
+(* The row loops are top-level functions so that no closure is allocated
+   per comparison. *)
+let rec compare_from (a : row) (b : row) i =
+  if i = Array.length a then 0
+  else
+    match Value.compare_total a.(i) b.(i) with
+    | 0 -> compare_from a b (i + 1)
+    | c -> c
+
+let compare_rows a b = compare_from a b 0
+
+(* [a] at positions [ka] against [b] at [kb], from column [j] *)
+let rec compare_key_from ka (a : row) kb (b : row) j =
+  if j = Array.length ka then 0
+  else
+    match Value.compare_total a.(ka.(j)) b.(kb.(j)) with
+    | 0 -> compare_key_from ka a kb b (j + 1)
+    | c -> c
+
+let compare_at ka a kb b = compare_key_from ka a kb b 0
 
 let equal_rows a b = compare_rows a b = 0
 
@@ -82,14 +94,6 @@ module Keyed = struct
   let count t = t.count
   let first t id = t.firsts.(id)
 
-  (* [stored] at [key] against [probe] at [probe_key], from column [j];
-     the hot loops below are top-level functions so that no closure is
-     allocated per lookup *)
-  let rec same_key key (stored : row) probe_key (probe : row) j =
-    j = Array.length probe_key
-    || Value.compare_total stored.(key.(j)) probe.(probe_key.(j)) = 0
-       && same_key key stored probe_key probe (j + 1)
-
   let rec free_slot slots mask i =
     if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
 
@@ -106,7 +110,8 @@ module Keyed = struct
   let rec slot t h probe_key probe i =
     let id = t.slots.(i) in
     if id < 0
-       || (t.hashes.(id) = h && same_key t.key t.firsts.(id) probe_key probe 0)
+       || (t.hashes.(id) = h
+           && compare_key_from t.key t.firsts.(id) probe_key probe 0 = 0)
     then i
     else slot t h probe_key probe ((i + 1) land (Array.length t.slots - 1))
 
@@ -133,11 +138,41 @@ module Keyed = struct
       id
     end
 
+  (* [Some (t, ids)] with [ids.(r)] the key id of [rows.(r)], or [None]
+     as soon as more than [limit] distinct keys appear *)
+  let number ~limit key rows =
+    let t = create key and n = Array.length rows in
+    let ids = Array.make n 0 in
+    let rec go r =
+      if r = n then Some (t, ids)
+      else begin
+        ids.(r) <- find_or_add t rows.(r);
+        if t.count > limit then None else go (r + 1)
+      end
+    in
+    go 0
+
+  (* Counting sort by bucket: [starts.(b)] counts rows up to and including
+     bucket [b], then the backward placement pass turns it into the start
+     of [b]'s run while keeping arrival order within each run. *)
+  let layout count buckets (arrived : row array) n =
+    let starts = Array.make (count + 1) 0 in
+    for r = 0 to n - 1 do
+      starts.(buckets.(r)) <- starts.(buckets.(r)) + 1
+    done;
+    for b = 1 to count do
+      starts.(b) <- starts.(b) + starts.(b - 1)
+    done;
+    let rows = Array.make n [||] in
+    for r = n - 1 downto 0 do
+      let b = buckets.(r) in
+      starts.(b) <- starts.(b) - 1;
+      rows.(starts.(b)) <- arrived.(r)
+    done;
+    (starts, rows)
+
   type groups = { ids : t; starts : int array; rows : row array }
 
-  (* Counting sort by id: [starts.(id)] counts rows up to and including
-     [id], then the backward placement pass turns it into the start of
-     [id]'s run while keeping arrival order within each run. *)
   let group key feed =
     let ids = create key in
     let row_ids = ref [||] and arrived = ref [||] and n = ref 0 in
@@ -150,20 +185,7 @@ module Keyed = struct
         !row_ids.(!n) <- id;
         !arrived.(!n) <- row;
         incr n);
-    let row_ids = !row_ids and arrived = !arrived and n = !n in
-    let starts = Array.make (ids.count + 1) 0 in
-    for r = 0 to n - 1 do
-      starts.(row_ids.(r)) <- starts.(row_ids.(r)) + 1
-    done;
-    for id = 1 to ids.count do
-      starts.(id) <- starts.(id) + starts.(id - 1)
-    done;
-    let rows = Array.make n [||] in
-    for r = n - 1 downto 0 do
-      let id = row_ids.(r) in
-      starts.(id) <- starts.(id) - 1;
-      rows.(starts.(id)) <- arrived.(r)
-    done;
+    let starts, rows = layout ids.count !row_ids !arrived !n in
     { ids; starts; rows }
 end
 
@@ -181,19 +203,21 @@ let dedup_sorted ?(tick = fun () -> ()) rows =
     in
     List.rev out
 
-let sort_rows ?(tick = fun () -> ()) rows =
-  List.sort
-    (fun a b ->
-      tick ();
-      compare_rows a b)
+let sort_rows ?(tick = ignore) ?key rows =
+  Array.stable_sort
+    (match key with
+     | None -> fun a b -> tick (); compare_rows a b
+     | Some key -> fun a b -> tick (); compare_at key a key b)
     rows
 
 let equal_bags a b =
   Schema.Relschema.union_compatible a.schema b.schema
   && List.length a.rows = List.length b.rows
   &&
-  let sa = sort_rows a.rows and sb = sort_rows b.rows in
-  List.for_all2 (fun x y -> compare_rows x y = 0) sa sb
+  let sa = Array.of_list a.rows and sb = Array.of_list b.rows in
+  sort_rows sa;
+  sort_rows sb;
+  Array.for_all2 equal_rows sa sb
 
 let distinct_count t =
   let k = Keyed.create (Array.init (Schema.Relschema.arity t.schema) Fun.id) in

@@ -18,6 +18,10 @@ val cardinality : t -> int
 (** Lexicographic total order on rows (null-comparison per column). *)
 val compare_rows : row -> row -> int
 
+(** [compare_at ka a kb b]: the same order on [a]'s values at positions
+    [ka] against [b]'s at the parallel positions [kb]. *)
+val compare_at : int array -> row -> int array -> row -> int
+
 (** [compare_rows a b = 0] — the single row-equality notion every
     duplicate-elimination strategy shares (two nulls are equal, and
     [Int 1] equals [Float 1.0], as in [Value.compare_total]). *)
@@ -57,13 +61,25 @@ module Keyed : sig
   (** The first row added with key id [id]. *)
   val first : t -> int -> row
 
+  (** [number ~limit key rows] is [Some (t, ids)], where [t] numbers the
+      keys of [rows] at [key] and [ids.(r)] is the id of [rows.(r)]'s key;
+      [None] as soon as more than [limit] distinct keys appear. *)
+  val number : limit:int -> int array -> row array -> (t * int array) option
+
+  (** [layout count buckets rows n] is the counting sort of the first [n]
+      [rows] by [buckets.(r)] (each in [0, count)): [(starts, laid_out)]
+      where the rows of bucket [b] are
+      [laid_out.(starts.(b)) .. laid_out.(starts.(b+1) - 1)], in the order
+      they arrived. *)
+  val layout : int -> int array -> row array -> int -> int array * row array
+
   (** Rows grouped by key in one flat array: the rows of key id [i] are
       [rows.(starts.(i)) .. rows.(starts.(i+1) - 1)], in the order they
       arrived. *)
   type groups = { ids : t; starts : int array; rows : row array }
 
   (** [group key feed] groups the rows [feed] passes to its argument by
-      their values at [key]. *)
+      their values at [key] ({!layout} with key ids as buckets). *)
   val group : int array -> ((row -> unit) -> unit) -> groups
 end
 
@@ -74,9 +90,10 @@ val dedup_sorted : ?tick:(unit -> unit) -> row list -> row list
 (** Multiset equality: same rows with the same multiplicities. *)
 val equal_bags : t -> t -> bool
 
-(** Rows sorted; counts the comparisons through [tick] (one call per
-    row-to-row comparison). *)
-val sort_rows : ?tick:(unit -> unit) -> row list -> row list
+(** Stable-sorts the array in place by {!compare_rows}, or on the values
+    at positions [key] only; counts the comparisons through [tick] (one
+    call per row-to-row comparison). *)
+val sort_rows : ?tick:(unit -> unit) -> ?key:int array -> row array -> unit
 
 (** Distinct count of rows (for duplicate statistics). *)
 val distinct_count : t -> int

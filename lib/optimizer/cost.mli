@@ -51,7 +51,9 @@ val join_step :
   outer:estimate -> inner:estimate -> equis:int -> unique_build:bool -> estimate
 
 (** Comparisons a materializing [ORDER BY] sort pays on [card] rows
-    ([n log2 n]) — the cost a certified sort elision removes. *)
+    ([n log2 n]) — the cost a certified sort elision removes. An upper
+    bound: on at most [n/4] distinct keys the engine compares only the
+    distinct ones. *)
 val sort : card:float -> float
 
 (** One streaming merge-join step over order-covered inputs, mirroring

@@ -726,6 +726,130 @@ let prop_keyed_matches_sort_reference =
       && Relation.Keyed.count t > 128
       && ids_ok && firsts_ok && Array.for_all probe_ok rows && groups_ok)
 
+(* ---- ORDER BY: Operator.sort against an independent stable sort ---- *)
+
+(* Sort-key values: NULL, NaN, ±0.0, Int n next to Float n, 2^53
+   neighbours as Int and as Float, and a string. *)
+let sort_value_gen =
+  let open QCheck2.Gen in
+  let p53 = 1 lsl 53 in
+  frequency
+    [ ( 1,
+        oneofl
+          [ Value.Null; Value.Float Float.nan; Value.Float 0.;
+            Value.Float (-0.); Value.Int (p53 - 1); Value.Int p53;
+            Value.Int (p53 + 1); Value.Float 0x1p53; Value.Float (0x1p53 +. 2.);
+            Value.Float 0.5; Value.String "s" ] );
+      (4, map (fun n -> Value.Int n) (int_range (-20) 20));
+      (2, map (fun n -> Value.Float (float_of_int n)) (int_range (-20) 20)) ]
+
+(* The reference order: [Value.compare_total] on each key column in turn,
+   written without [Relation] so that it shares nothing with [Keyed]. *)
+let compare_on keys (a : Relation.row) (b : Relation.row) =
+  List.fold_left
+    (fun c i -> if c <> 0 then c else Value.compare_total a.(i) b.(i))
+    0 keys
+
+(* Rows [| i; k1; ..; kw |]: column 0 numbers the row, so a placement that
+   is not stable shows. Exactly [d] distinct keys (every one used) over
+   [n] rows, with [d] drawn around n/4 — the rule between the two paths —
+   or anywhere in [1, n]; [keys] lists the key columns in a random order. *)
+let sort_case_gen =
+  let open QCheck2.Gen in
+  let* width = int_range 1 3 in
+  let* n =
+    frequency [ (1, return 0); (1, return 1); (8, int_range 2 160) ]
+  in
+  let* d =
+    if n = 0 then return 0
+    else
+      oneof
+        [ return (max 1 (n / 4)); return ((n / 4) + 1);
+          return (max 1 ((n / 4) - 1)); int_range 1 n ]
+  in
+  let* candidates = list_repeat ((4 * d) + 16) (array_repeat width sort_value_gen) in
+  let all = List.init width Fun.id in
+  let pool =
+    List.sort_uniq (compare_on all) candidates |> List.filteri (fun i _ -> i < d)
+  in
+  let d = List.length pool and pool = Array.of_list pool in
+  let* extra = list_repeat (n - d) (int_range 0 (max 0 (d - 1))) in
+  let* picks = shuffle_l (List.init d Fun.id @ extra) in
+  let* keys = shuffle_l (List.init width (fun j -> j + 1)) in
+  let rows =
+    List.mapi
+      (fun i k -> Array.append [| Value.Int i |] pool.(k))
+      (if d = 0 then [] else picks)
+  in
+  return (width, keys, rows)
+
+let sort_schema width =
+  int_schema ("I" :: List.init width (fun j -> Printf.sprintf "K%d" (j + 1)))
+
+let sorted_by_operator ?(stats = Stats.create ()) width keys rows =
+  let schema = sort_schema width in
+  let attrs = List.map (List.nth (Relschema.attrs schema)) keys in
+  Operator.sort ~stats attrs (Operator.of_rows schema rows)
+
+let prop_sort_matches_stable_sort =
+  QCheck2.Test.make ~name:"sort is a stable sort on compare_total per key"
+    ~count:500 sort_case_gen
+    ~print:(fun (_, keys, rows) ->
+      Printf.sprintf "keys %s over %s"
+        (String.concat "," (List.map string_of_int keys))
+        (String.concat "; "
+           (List.map
+              (fun r ->
+                String.concat "," (Array.to_list (Array.map Value.to_string r)))
+              rows)))
+    (fun (width, keys, rows) ->
+      let expected = List.stable_sort (compare_on keys) rows in
+      let got = Operator.to_rows (sorted_by_operator width keys rows) in
+      List.length got = List.length expected && List.for_all2 ( == ) got expected)
+
+let test_sort_rewind_and_close () =
+  let rows = List.init 40 (fun i -> [| v_int i; v_int (i mod 3) |]) in
+  let op = sorted_by_operator 1 [ 1 ] rows in
+  let drain () =
+    let rec go acc =
+      match Operator.next op with Some r -> go (r :: acc) | None -> List.rev acc
+    in
+    go []
+  in
+  let first = drain () in
+  Alcotest.(check (list (list int))) "sorted on K1, stable"
+    (List.map ints_of (List.stable_sort (compare_on [ 1 ]) rows))
+    (List.map ints_of first);
+  Operator.rewind op;
+  Alcotest.(check bool) "rewind replays the same list" true
+    (List.for_all2 ( == ) first (drain ()));
+  Operator.close op;
+  Alcotest.(check bool) "next after close" true (Operator.next op = None)
+
+(* With d distinct keys over n rows the keyed path costs at most
+   d * ceil(log2 d) + d comparisons; the row sort past n/4 costs more. *)
+let test_sort_counts () =
+  let comparisons ~n ~d =
+    let stats = Stats.create () in
+    let rows = List.init n (fun i -> [| v_int i; v_int ((i * 7) mod d) |]) in
+    let got = Operator.to_rows (sorted_by_operator ~stats 1 [ 1 ] rows) in
+    Alcotest.(check int) "sorted_rows" n stats.Stats.sorted_rows;
+    Alcotest.(check int) "one sort" 1 stats.Stats.sorts;
+    Alcotest.(check bool) "stable sort on K1" true
+      (List.for_all2 ( == ) got (List.stable_sort (compare_on [ 1 ]) rows));
+    stats.Stats.comparisons
+  in
+  let bound d =
+    let rec log2_ceil k p = if p >= d then k else log2_ceil (k + 1) (2 * p) in
+    (d * log2_ceil 0 1) + d
+  in
+  Alcotest.(check bool) "10,000 rows over 10 keys: under 100 comparisons" true
+    (comparisons ~n:10_000 ~d:10 < 100);
+  Alcotest.(check bool) "d = n/4 sorts the distinct keys" true
+    (comparisons ~n:400 ~d:100 <= bound 100);
+  Alcotest.(check bool) "d = n/4 + 1 sorts the rows" true
+    (comparisons ~n:400 ~d:101 > bound 101)
+
 (* ---- planned join orders and the bounded scan cache ---- *)
 
 let test_planned_join_orders_agree () =
@@ -1066,6 +1190,14 @@ let () =
       ( "keyed",
         List.map QCheck_alcotest.to_alcotest
           [ prop_exact_numeric_order; prop_keyed_matches_sort_reference ] );
+      ( "sort",
+        [
+          Alcotest.test_case "rewind replays, close ends" `Quick
+            test_sort_rewind_and_close;
+          Alcotest.test_case "comparisons follow the distinct keys" `Quick
+            test_sort_counts;
+          QCheck_alcotest.to_alcotest prop_sort_matches_stable_sort;
+        ] );
       ( "join",
         [
           Alcotest.test_case "every planned order agrees" `Quick
