@@ -164,21 +164,25 @@ let validate t =
               rows)
         def.Catalog.tbl_foreign_keys;
       (* check constraints: violated only when definitely false *)
+      let resolver =
+        {
+          Logic.Eval.column =
+            (fun a ->
+              match Schema.Relschema.find_index schema a with
+              | Some i -> fun row -> row.(i)
+              | None -> fun _ -> raise (Logic.Eval.Unbound_column a)
+              | exception Failure msg -> fun _ -> failwith msg);
+          host = (fun h -> raise (Logic.Eval.Unbound_host h));
+          exists =
+            (fun _ _ -> invalid_arg "Database.validate: EXISTS in a CHECK");
+        }
+      in
       List.iter
         (fun check ->
+          let holds = Logic.Eval.compile_pred resolver check in
           List.iter
             (fun row ->
-              let lookup_col a =
-                match Schema.Relschema.find_index schema a with
-                | Some i -> row.(i)
-                | None -> raise (Logic.Eval.Unbound_column a)
-              in
-              let truth =
-                Logic.Eval.eval_pred_simple ~lookup_col
-                  ~lookup_host:(fun h -> raise (Logic.Eval.Unbound_host h))
-                  check
-              in
-              if not (Truth.is_not_false truth) then
+              if not (Truth.is_not_false (holds row)) then
                 violations := Check_failed (name, check, row) :: !violations)
             rows)
         def.Catalog.tbl_checks)

@@ -40,7 +40,6 @@ type config = {
   sort_impl : sort_impl;
   exists_impl : exists_impl;
   logic : Sqlval.Logic_mode.t;
-  scan_cache_capacity : int;
   stats : Stats.t;
 }
 
@@ -51,31 +50,40 @@ let default_config () =
     sort_impl = Materialize_sort;
     exists_impl = Naive_exists;
     logic = Sqlval.Logic_mode.default;
-    scan_cache_capacity = 64;
     stats = Stats.create ();
   }
 
 exception Unbound_column of Schema.Attr.t
 exception Unbound_host of string
 
-(* A frame is one enclosing query block's current tuple. Lookup walks frames
-   innermost-first, so a correlated subquery sees its own tables before the
-   outer query's. *)
-type frame = {
-  fr_schema : Schema.Relschema.t;
-  fr_row : Relation.row;
+(* One enclosing query block at compile time. A compiled predicate takes
+   the innermost block's row as its argument; an outer block's row sits in
+   [sc_slot], which the EXISTS nested in that block fills before running
+   its body. Columns resolve innermost-first, so a correlated subquery
+   sees its own tables before the outer query's. *)
+type scope = {
+  sc_schema : Schema.Relschema.t;
+  sc_slot : Relation.row ref;
 }
 
-let lookup_in_frames frames a =
-  let rec go = function
-    | [] -> raise (Unbound_column a)
-    | fr :: rest ->
-      (match Schema.Relschema.find_index fr.fr_schema a with
-       | Some i -> fr.fr_row.(i)
-       | None -> go rest
-       | exception Failure msg -> failwith msg)
+let scope schema = { sc_schema = schema; sc_slot = ref [||] }
+
+(* The accessor for column [a] under [scopes] (innermost first). Resolution
+   errors become accessors that raise when a row is evaluated: compiling a
+   plan only to inspect it never raises on them. *)
+let resolve scopes a : Relation.row -> Value.t =
+  let rec go depth = function
+    | [] -> fun _ -> raise (Unbound_column a)
+    | sc :: rest ->
+      (match Schema.Relschema.find_index sc.sc_schema a with
+       | Some i when depth = 0 -> fun row -> row.(i)
+       | Some i ->
+         let slot = sc.sc_slot in
+         fun _ -> !slot.(i)
+       | None -> go (depth + 1) rest
+       | exception Failure msg -> fun _ -> failwith msg)
   in
-  go frames
+  go 0 scopes
 
 (* The longest prefix of [in_order] fully retained by the projection,
    renamed to output attributes. Stops at the first order attribute the
@@ -189,49 +197,16 @@ let compile ?config db ~hosts plan : Operator.t =
     | Some v -> v
     | None -> raise (Unbound_host h)
   in
-  (* Both executor-private caches are scoped to this [compile] call — one
-     statement — and bounded: a long-lived serve session compiles thousands
-     of statements, and even within one statement a pathological query can
-     name arbitrarily many table occurrences / subquery shapes. Overflow
-     evicts least-recently-used and is counted in
-     [Stats.scan_cache_evictions]; eviction only costs a re-scan, never
-     correctness. *)
-  let add_counting_evictions cache k v =
-    let before = (Cache.Lru.counters cache).Cache.Lru.c_evictions in
-    Cache.Lru.add cache k v;
-    let after = (Cache.Lru.counters cache).Cache.Lru.c_evictions in
-    stats.Stats.scan_cache_evictions <-
-      stats.Stats.scan_cache_evictions + (after - before)
-  in
-  (* (table, correlation) -> renamed schema + rows + verified order:
-     correlated subqueries re-scan their tables once per outer row and must
-     not pay schema construction each time *)
-  let scan_cache :
-      ( string * string,
-        Schema.Relschema.t * Relation.row list * Schema.Attr.t list )
-      Cache.Lru.t =
-    Cache.Lru.create ~capacity:(max 1 cfg.scan_cache_capacity)
-  in
   let scan_table table corr =
-    let key = (String.uppercase_ascii table, corr) in
-    match Cache.Lru.find scan_cache key with
-    | Some v -> v
-    | None ->
-      let def = Catalog.find_exn cat table in
-      let schema = Schema.Relschema.rename_rel corr def.Catalog.tbl_schema in
-      let rows = (Database.table db table).Relation.rows in
-      let order =
-        List.map
-          (fun c -> Schema.Attr.make ~rel:corr ~name:c)
-          (Database.order db table)
-      in
-      let v = (schema, rows, order) in
-      add_counting_evictions scan_cache key v;
-      v
-  in
-  (* memoized per-subquery hash indexes for Indexed_exists *)
-  let exists_index_cache : (string, Relation.Keyed.groups) Cache.Lru.t =
-    Cache.Lru.create ~capacity:(max 1 cfg.scan_cache_capacity)
+    let def = Catalog.find_exn cat table in
+    let schema = Schema.Relschema.rename_rel corr def.Catalog.tbl_schema in
+    let rows = (Database.table db table).Relation.rows in
+    let order =
+      List.map
+        (fun c -> Schema.Attr.make ~rel:corr ~name:c)
+        (Database.order db table)
+    in
+    (schema, rows, order)
   in
   let tick_compare () = stats.Stats.comparisons <- stats.Stats.comparisons + 1 in
   let sort_counting rows =
@@ -241,46 +216,67 @@ let compile ?config db ~hosts plan : Operator.t =
     Relation.sort_rows ~tick:tick_compare rows;
     Array.to_list rows
   in
-  (* Evaluate a predicate for the row in [frames] (innermost first). *)
-  let rec eval_pred frames pred =
-    stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
-    Logic.Eval.eval_pred ~logic:cfg.logic
-      ~lookup_col:(lookup_in_frames frames)
-      ~lookup_host
-      ~eval_exists:(fun sub -> Truth.of_bool (exists_spec frames sub))
-      pred
+  let tick_scan () = stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1 in
+  let rec resolver scopes =
+    {
+      Logic.Eval.column = resolve scopes;
+      host = lookup_host;
+      exists = (fun sub -> exists_spec scopes sub);
+    }
+  (* The row test of [pred] under [scopes], compiled once; each call is
+     one predicate evaluation. *)
+  and test scopes pred =
+    let p = Logic.Eval.compile_pred ~logic:cfg.logic (resolver scopes) pred in
+    fun row ->
+      stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
+      Truth.is_true (p row)
   (* EXISTS: correlated nested loop with early exit; in [Indexed_exists]
      mode, single-table subqueries with equi-correlation build a hash index
-     on the correlated inner columns once and probe it per outer row (what
-     an engine with an index on the correlation key would do). *)
-  and exists_spec outer_frames (sub : Sql.Ast.query_spec) =
-    stats.Stats.subquery_evals <- stats.Stats.subquery_evals + 1;
-    match cfg.exists_impl, sub.from with
-    | Indexed_exists, [ _ ] -> exists_indexed outer_frames sub
-    | (Naive_exists | Indexed_exists), _ -> exists_naive outer_frames sub
-
-  and exists_naive outer_frames (sub : Sql.Ast.query_spec) =
-    let tables =
-      List.map
-        (fun (f : Sql.Ast.from_item) -> scan_table f.table (Sql.Ast.from_name f))
-        sub.from
+     on the correlated inner columns on the first evaluation and probe it
+     per outer row (what an engine with an index on the correlation key
+     would do). The body's tables are looked up and its predicate compiled
+     here, once; the outer row goes into the enclosing block's slot. *)
+  and exists_spec scopes (sub : Sql.Ast.query_spec) =
+    let outer = List.hd scopes in
+    let run =
+      match
+        List.map
+          (fun (f : Sql.Ast.from_item) -> scan_table f.table (Sql.Ast.from_name f))
+          sub.from
+      with
+      | exception Failure msg -> fun _ -> failwith msg
+      | tables ->
+        let inner = List.map (fun (schema, rows, _) -> (scope schema, rows)) tables in
+        let body = test (List.rev_map fst inner @ scopes) sub.where in
+        (match cfg.exists_impl, inner with
+         | Indexed_exists, [ (sc, rows) ] ->
+           (match exists_indexed scopes sc rows sub.where body with
+            | Some probe -> probe
+            | None -> exists_naive inner body)
+         | (Naive_exists | Indexed_exists), _ -> exists_naive inner body)
     in
-    let rec loop acc_frames = function
-      | [] -> Truth.is_true (eval_pred (acc_frames @ outer_frames) sub.where)
-      | (schema, rows, _) :: rest ->
+    fun row ->
+      stats.Stats.subquery_evals <- stats.Stats.subquery_evals + 1;
+      outer.sc_slot := row;
+      run row
+
+  and exists_naive inner body =
+    (* tables in FROM order; the last one is the body's innermost block *)
+    let rec loop row = function
+      | [] -> body row
+      | (sc, rows) :: rest ->
         List.exists
-          (fun row ->
-            stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1;
-            loop ({ fr_schema = schema; fr_row = row } :: acc_frames) rest)
+          (fun r ->
+            tick_scan ();
+            sc.sc_slot := r;
+            loop r rest)
           rows
     in
-    loop [] tables
+    fun row -> loop row inner
 
-  and exists_indexed outer_frames (sub : Sql.Ast.query_spec) =
-    let f = List.hd sub.from in
-    let schema, rows, _ = scan_table f.Sql.Ast.table (Sql.Ast.from_name f) in
+  and exists_indexed scopes sc rows where body =
     let inner a =
-      try Schema.Relschema.find_index schema a with Failure _ -> None
+      try Schema.Relschema.find_index sc.sc_schema a with Failure _ -> None
     in
     (* correlation conjuncts: inner column = outer-varying scalar *)
     let correlation col rhs =
@@ -297,57 +293,40 @@ let compile ?config db ~hosts plan : Operator.t =
           | Sql.Ast.Cmp (Sql.Ast.Eq, x, y) ->
             (match correlation x y with None -> correlation y x | k -> k)
           | _ -> None)
-        (Sql.Ast.conjuncts sub.where)
+        (Sql.Ast.conjuncts where)
     in
-    if key_conjs = [] then exists_naive outer_frames sub
+    if key_conjs = [] then None
     else begin
-      let cache_key =
-        f.Sql.Ast.table ^ "/" ^ Sql.Ast.from_name f ^ "/"
-        ^ Sql.Pretty.query_spec sub
-      in
+      let key_idx = Array.of_list (List.map fst key_conjs) in
       let index =
-        match Cache.Lru.find exists_index_cache cache_key with
-        | Some ix -> ix
-        | None ->
-          let key_idx = Array.of_list (List.map fst key_conjs) in
-          let ix =
-            Relation.Keyed.group key_idx (fun add ->
-                List.iter
-                  (fun row ->
-                    stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1;
-                    if not (Relation.has_null_at key_idx row) then add row)
-                  rows)
-          in
-          add_counting_evictions exists_index_cache cache_key ix;
-          ix
+        lazy
+          (Relation.Keyed.group key_idx (fun add ->
+               List.iter
+                 (fun row ->
+                   tick_scan ();
+                   if not (Relation.has_null_at key_idx row) then add row)
+                 rows))
       in
-      stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-      let probe =
+      let probe_key =
         Array.of_list
           (List.map
-             (fun (_, rhs) ->
-               Logic.Eval.eval_scalar
-                 ~lookup_col:(lookup_in_frames outer_frames)
-                 ~lookup_host rhs)
+             (fun (_, rhs) -> Logic.Eval.compile_scalar (resolver scopes) rhs)
              key_conjs)
       in
-      (not (Array.exists Value.is_null probe))
-      &&
-      let id =
-        Relation.Keyed.find index.Relation.Keyed.ids
-          (Array.init (Array.length probe) Fun.id)
-          probe
-      in
-      let rec any i =
-        i < index.Relation.Keyed.starts.(id + 1)
-        && (Truth.is_true
-              (eval_pred
-                 ({ fr_schema = schema; fr_row = index.Relation.Keyed.rows.(i) }
-                 :: outer_frames)
-                 sub.where)
-           || any (i + 1))
-      in
-      id >= 0 && any index.Relation.Keyed.starts.(id)
+      let positions = Array.init (Array.length probe_key) Fun.id in
+      Some
+        (fun outer_row ->
+          let index = Lazy.force index in
+          stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+          let probe = Array.map (fun f -> f outer_row) probe_key in
+          (not (Array.exists Value.is_null probe))
+          &&
+          let id = Relation.Keyed.find index.Relation.Keyed.ids positions probe in
+          let rec any i =
+            i < index.Relation.Keyed.starts.(id + 1)
+            && (body index.Relation.Keyed.rows.(i) || any (i + 1))
+          in
+          id >= 0 && any index.Relation.Keyed.starts.(id))
     end
   in
   let count_output (op : Operator.t) =
@@ -356,9 +335,9 @@ let compile ?config db ~hosts plan : Operator.t =
       Operator.next =
         (fun () ->
           match op.Operator.next () with
-          | Some r ->
+          | Some _ as r ->
             stats.Stats.rows_output <- stats.Stats.rows_output + 1;
-            Some r
+            r
           | None -> None);
     }
   in
@@ -366,59 +345,60 @@ let compile ?config db ~hosts plan : Operator.t =
     match plan with
     | Relalg.Plan.Scan { table; corr } ->
       let schema, rows, order = scan_table table corr in
-      Operator.of_rows ~order
-        ~tick:(fun () -> stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1)
-        schema rows
+      Operator.of_rows ~order ~tick:tick_scan schema rows
     | Relalg.Plan.Select (pred, (Relalg.Plan.Product _ as prod)) ->
       (match cfg.join_impl with
        | Nested_join ->
          (* ablation baseline: filter the block-nested product stream *)
          Stats.record_join stats ~strategy:"nested";
          let op = compile_node prod in
-         let schema = op.Operator.schema in
          count_output
-           (Operator.filter
-              (fun row ->
-                Truth.is_true
-                  (eval_pred [ { fr_schema = schema; fr_row = row } ] pred))
-              op)
+           (Operator.filter (test [ scope op.Operator.schema ] pred) op)
        | Hash_join | Planned_join _ ->
          (* the streaming join tree: the "alternate join methods" that
             motivate unnesting in the paper's section 5.2 *)
          compile_join pred (Relalg.Plan.flatten_product prod))
     | Relalg.Plan.Select (pred, sub) ->
       let op = compile_node sub in
-      let schema = op.Operator.schema in
-      count_output
-        (Operator.filter
-           (fun row ->
-             Truth.is_true
-               (eval_pred [ { fr_schema = schema; fr_row = row } ] pred))
-           op)
+      count_output (Operator.filter (test [ scope op.Operator.schema ] pred) op)
     | Relalg.Plan.Project (d, items, sub) ->
       let op = compile_node sub in
       let in_schema = op.Operator.schema in
-      let cells =
-        List.map
+      let positions =
+        List.filter_map
           (function
-            | Relalg.Plan.Pcol a ->
-              let i = Schema.Relschema.index_of in_schema a in
-              fun (row : Relation.row) -> row.(i)
-            | Relalg.Plan.Pconst v -> fun _ -> v
-            | Relalg.Plan.Phost h ->
-              (* resolved lazily so that compiling a pipeline (a pure
-                 inspection step) never raises on an unbound host *)
-              let v = lazy (lookup_host h) in
-              fun _ -> Lazy.force v)
+            | Relalg.Plan.Pcol a -> Some (Schema.Relschema.index_of in_schema a)
+            | Relalg.Plan.Pconst _ | Relalg.Plan.Phost _ -> None)
           items
       in
       let out_schema = Relalg.Plan.project_schema in_schema items in
       let out_order = project_order in_schema op.Operator.order items out_schema in
-      let mapped =
-        Operator.map ~order:out_order out_schema
-          (fun row -> Array.of_list (List.map (fun f -> f row) cells))
-          op
+      let project =
+        (* all columns: copy through positions; else one cell per item *)
+        if List.compare_lengths positions items = 0 then begin
+          let positions = Array.of_list positions in
+          fun (row : Relation.row) -> Array.map (fun i -> row.(i)) positions
+        end
+        else begin
+          let cells =
+            Array.of_list
+              (List.map
+                 (function
+                   | Relalg.Plan.Pcol a ->
+                     let i = Schema.Relschema.index_of in_schema a in
+                     fun (row : Relation.row) -> row.(i)
+                   | Relalg.Plan.Pconst v -> fun _ -> v
+                   | Relalg.Plan.Phost h ->
+                     (* resolved lazily so that compiling a pipeline (a pure
+                        inspection step) never raises on an unbound host *)
+                     let v = lazy (lookup_host h) in
+                     fun _ -> Lazy.force v)
+                 items)
+          in
+          fun row -> Array.map (fun f -> f row) cells
+        end
       in
+      let mapped = Operator.map ~order:out_order out_schema project op in
       let deduped =
         match d with Sql.Ast.All -> mapped | Sql.Ast.Distinct -> distinct mapped
       in
@@ -614,12 +594,8 @@ let compile ?config db ~hosts plan : Operator.t =
       match preds with
       | [] -> op
       | _ ->
-        let p = Sql.Ast.conj preds in
-        let schema = op.Operator.schema in
         Operator.filter
-          (fun row ->
-            Truth.is_true
-              (eval_pred [ { fr_schema = schema; fr_row = row } ] p))
+          (test [ scope op.Operator.schema ] (Sql.Ast.conj preds))
           op
     in
     (* push single-leaf conjuncts below the joins; FROM order keeps the

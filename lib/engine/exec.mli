@@ -18,7 +18,15 @@
     ([Stream_hash], [Stream_sorted], [Stream_elided]).
     [EXISTS] subqueries run as correlated nested loops with early exit,
     resolving free column references against enclosing query blocks
-    (innermost first). *)
+    (innermost first).
+
+    Every predicate, EXISTS body and projection is compiled once, when
+    the plan is compiled ({!Logic.Eval.compile_pred}): column references
+    become row positions, so evaluating a row does no name lookup. A
+    reference that cannot be resolved — an unknown or ambiguous column, an
+    unbound host — compiles to an accessor that raises
+    {!Unbound_column}, [Failure] or {!Unbound_host} when a row is
+    evaluated, so compiling stays pure. *)
 
 type distinct_impl =
   | Sort_distinct
@@ -111,11 +119,6 @@ type config = {
           every predicate evaluation in the plan, EXISTS subqueries
           included. Duplicate elimination is unaffected (it always uses the
           null-comparison total order). *)
-  scan_cache_capacity : int;
-      (** bound on the executor's per-statement scan and EXISTS-index
-          caches (entries; default 64). Overflow evicts LRU and counts in
-          {!Stats.t.scan_cache_evictions}; eviction costs a re-scan, never
-          correctness. *)
   stats : Stats.t;
 }
 

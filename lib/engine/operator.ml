@@ -51,7 +51,7 @@ let filter pred op =
   let rec pull () =
     match op.next () with
     | None -> None
-    | Some r -> if pred r then Some r else pull ()
+    | Some r as row -> if pred r then row else pull ()
   in
   { op with next = pull }
 

@@ -19,7 +19,6 @@ type t = {
   mutable join_probe_rows : int;
   mutable unique_builds : int;
   mutable probe_early_exits : int;
-  mutable scan_cache_evictions : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
@@ -49,7 +48,6 @@ let create () =
     join_probe_rows = 0;
     unique_builds = 0;
     probe_early_exits = 0;
-    scan_cache_evictions = 0;
     cache_hits = 0;
     cache_misses = 0;
     cache_evictions = 0;
@@ -78,7 +76,6 @@ let reset t =
   t.join_probe_rows <- 0;
   t.unique_builds <- 0;
   t.probe_early_exits <- 0;
-  t.scan_cache_evictions <- 0;
   t.cache_hits <- 0;
   t.cache_misses <- 0;
   t.cache_evictions <- 0;
@@ -106,7 +103,6 @@ let add t u =
   t.join_probe_rows <- t.join_probe_rows + u.join_probe_rows;
   t.unique_builds <- t.unique_builds + u.unique_builds;
   t.probe_early_exits <- t.probe_early_exits + u.probe_early_exits;
-  t.scan_cache_evictions <- t.scan_cache_evictions + u.scan_cache_evictions;
   t.cache_hits <- t.cache_hits + u.cache_hits;
   t.cache_misses <- t.cache_misses + u.cache_misses;
   t.cache_evictions <- t.cache_evictions + u.cache_evictions;
@@ -150,7 +146,6 @@ let fields t =
     ("join_probe_rows", t.join_probe_rows);
     ("unique_builds", t.unique_builds);
     ("probe_early_exits", t.probe_early_exits);
-    ("scan_cache_evictions", t.scan_cache_evictions);
     ("cache_hits", t.cache_hits);
     ("cache_misses", t.cache_misses);
     ("cache_evictions", t.cache_evictions) ]
@@ -161,7 +156,7 @@ let pp ppf t =
      comparisons=%d hash_probes=%d subqueries=%d dedup_in=%d dedup_out=%d \
      dedup_state_peak=%d elisions=%d sorted_fallbacks=%d sort_elisions=%d \
      merge_joins=%d%s join_build=%d \
-     join_probe=%d unique_builds=%d early_exits=%d%s scan_evictions=%d \
+     join_probe=%d unique_builds=%d early_exits=%d%s \
      cache_hits=%d cache_misses=%d cache_evictions=%d"
     t.rows_scanned t.rows_output t.predicate_evals t.product_pairs t.sorts
     t.sorted_rows t.comparisons t.hash_probes t.subquery_evals
@@ -172,6 +167,6 @@ let pp ppf t =
     t.join_build_rows t.join_probe_rows t.unique_builds t.probe_early_exits
     (if t.join_strategy = "" then ""
      else Printf.sprintf " join_strategy=%s" t.join_strategy)
-    t.scan_cache_evictions t.cache_hits t.cache_misses t.cache_evictions
+    t.cache_hits t.cache_misses t.cache_evictions
 
 let to_string t = Format.asprintf "%a" pp t

@@ -43,9 +43,6 @@ type t = {
   mutable probe_early_exits : int;
       (** probes answered by the unique-build fast path: a single row
           returned with no bucket list to walk *)
-  mutable scan_cache_evictions : int;
-      (** entries evicted from the executor's bounded per-statement scan /
-          EXISTS-index caches *)
   mutable cache_hits : int;         (** analysis-cache verdict hits *)
   mutable cache_misses : int;       (** analysis-cache verdict misses *)
   mutable cache_evictions : int;    (** analysis-cache LRU evictions *)

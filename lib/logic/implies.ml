@@ -99,24 +99,31 @@ let enumerate cstr =
        Some (List.init (hi - lo + 1) (fun i -> Value.Int (lo + i)))
      | _ -> None)
 
-let eval_single ~col conjunct v =
-  let lookup_col (a : Schema.Attr.t) =
-    if String.equal a.Schema.Attr.name (String.uppercase_ascii col) then v
-    else raise (Eval.Unbound_column a)
-  in
-  match
-    Eval.eval_pred_simple ~lookup_col
-      ~lookup_host:(fun h -> raise (Eval.Unbound_host h))
+(* [conjunct] compiled once as a test of the value of [col]; a reference
+   to anything else fails every value *)
+let compile_single ~col conjunct =
+  let col = String.uppercase_ascii col in
+  let holds =
+    Eval.compile_pred
+      {
+        Eval.column =
+          (fun a ->
+            if String.equal a.Schema.Attr.name col then Fun.id
+            else fun _ -> raise Exit);
+        host = (fun _ -> raise Exit);
+        exists = (fun _ _ -> raise Exit);
+      }
       conjunct
-  with
-  | t -> Truth.is_true t
-  | exception (Eval.Unbound_column _ | Eval.Unbound_host _ | Invalid_argument _) ->
-    false
+  in
+  fun v ->
+    match holds v with
+    | t -> Truth.is_true t
+    | exception (Exit | Invalid_argument _) -> false
 
 let implied cstr ~col conjunct =
   match enumerate cstr with
   | Some [] -> true  (* unsatisfiable constraint: vacuously implied *)
-  | Some vs -> List.for_all (eval_single ~col conjunct) vs
+  | Some vs -> List.for_all (compile_single ~col conjunct) vs
   | None ->
     (* structural fallback for unbounded/large ranges *)
     let ge_lo x =

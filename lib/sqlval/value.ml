@@ -50,27 +50,17 @@ let equal = equal_null
 
 (* 3VL comparison: Unknown if either side is null; values of incompatible
    types are simply unequal (and not ordered). *)
-let cmp3 a b : int option =
+let rel3 holds a b =
   match a, b with
-  | Null, _ | _, Null -> None
-  | _ -> Some (compare_total a b)
+  | Null, _ | _, Null -> Truth.Unknown
+  | _ -> Truth.of_bool (holds (compare_total a b))
 
-let eq3 a b =
-  match cmp3 a b with
-  | None -> Truth.Unknown
-  | Some c -> Truth.of_bool (c = 0)
-
-let ne3 a b = Truth.not_ (eq3 a b)
-
-let rel3 f a b =
-  match cmp3 a b with
-  | None -> Truth.Unknown
-  | Some c -> Truth.of_bool (f c)
-
-let lt3 = rel3 (fun c -> c < 0)
-let le3 = rel3 (fun c -> c <= 0)
-let gt3 = rel3 (fun c -> c > 0)
-let ge3 = rel3 (fun c -> c >= 0)
+let eq3 a b = rel3 (fun c -> c = 0) a b
+let ne3 a b = rel3 (fun c -> c <> 0) a b
+let lt3 a b = rel3 (fun c -> c < 0) a b
+let le3 a b = rel3 (fun c -> c <= 0) a b
+let gt3 a b = rel3 (fun c -> c > 0) a b
+let ge3 a b = rel3 (fun c -> c >= 0) a b
 
 let to_string = function
   | Null -> "NULL"

@@ -926,25 +926,294 @@ let test_planned_unique_build_execution () =
   Alcotest.(check bool) "strategy recorded" true
     (cfg.Exec.stats.Stats.join_strategy = "unique-hash-join,unique-hash-join")
 
-let test_scan_cache_bounded () =
+(* The streaming joins and both EXISTS strategies bag-equal the
+   nested-loop baseline on a three-table join and on a correlated EXISTS
+   whose body is a self-join (its first table's row is read by the body
+   from an enclosing slot). *)
+let test_joins_and_exists_match_baseline () =
   let db =
     Workload.Generator.supplier_db ~suppliers:10 ~parts_per_supplier:2 ()
   in
-  let q =
-    "SELECT S.SNO FROM SUPPLIER S, PARTS P, AGENTS A WHERE S.SNO = P.SNO \
-     AND A.SNO = S.SNO"
+  let queries =
+    [ "SELECT S.SNO FROM SUPPLIER S, PARTS P, AGENTS A WHERE S.SNO = P.SNO \
+       AND A.SNO = S.SNO";
+      "SELECT S.SNO FROM SUPPLIER S WHERE EXISTS (SELECT * FROM PARTS P1, \
+       PARTS P2 WHERE P1.SNO = S.SNO AND P2.SNO = S.SNO AND P1.PNO < P2.PNO)" ]
   in
-  let baseline = run db q in
-  let cfg = { (Exec.default_config ()) with Exec.scan_cache_capacity = 1 } in
-  let r = run ~config:cfg db q in
-  Alcotest.(check bool) "capacity-1 cache still correct" true
-    (Relation.equal_bags baseline r);
-  Alcotest.(check bool) "evictions counted" true
-    (cfg.Exec.stats.Stats.scan_cache_evictions > 0);
-  let cfg2 = Exec.default_config () in
-  ignore (run ~config:cfg2 db q);
-  Alcotest.(check int) "no evictions at the default capacity" 0
-    cfg2.Exec.stats.Stats.scan_cache_evictions
+  let baseline =
+    { (Exec.default_config ()) with
+      Exec.join_impl = Exec.Nested_join;
+      exists_impl = Exec.Naive_exists }
+  in
+  List.iter
+    (fun q ->
+      let expected = run ~config:baseline db q in
+      Alcotest.(check bool) ("non-empty: " ^ q) true (expected.Relation.rows <> []);
+      List.iter
+        (fun exists_impl ->
+          let config = { (Exec.default_config ()) with Exec.exists_impl } in
+          Alcotest.(check bool) ("= baseline: " ^ q) true
+            (Relation.equal_bags expected (run ~config db q)))
+        [ Exec.Naive_exists; Exec.Indexed_exists ])
+    queries
+
+(* ---- compiled predicates ---- *)
+
+module A = Sql.Ast
+module G = Testsupport.Gen_sql
+module Truth = Sqlval.Truth
+
+(* R(A, B) and S(C, D) carry the Gen_sql columns; T(A, B) stands in for R
+   inside an EXISTS ([FROM T R]), so its row must shadow the outer R's. *)
+let predicate_catalog =
+  List.fold_left Catalog.add_ddl Catalog.empty
+    [ "CREATE TABLE R (A INT, B INT)"; "CREATE TABLE S (C INT, D INT)";
+      "CREATE TABLE T (A INT, B INT)" ]
+
+(* Values where evaluation is easy to get wrong, next to the Gen_sql
+   constants (NULL, 0..3, 'x', 'y') they must compare with. *)
+let predicate_value_gen =
+  let p53 = 1 lsl 53 in
+  QCheck2.Gen.oneofl
+    [ Value.Null; Value.Int 0; Value.Int 1; Value.Int 2; Value.Int 3;
+      Value.Float 0.; Value.Float (-0.); Value.Float 1.; Value.Float 2.5;
+      Value.Float Float.nan; Value.Int p53; Value.Int (p53 + 1);
+      Value.Float 0x1p53; Value.Float (0x1p53 +. 2.); Value.String "x";
+      Value.String "y" ]
+
+(* A direct recursive interpreter of SQL's three-valued logic (Kleene
+   connectives; under L2 an unknown comparison is false), written apart
+   from Logic.Eval. *)
+let reference_truth logic ~col ~host p =
+  let t b = if b then Truth.True else Truth.False in
+  let scalar = function
+    | A.Col a -> col a
+    | A.Const v -> v
+    | A.Host h -> host h
+    | A.Agg _ -> assert false
+  in
+  let atom holds a b =
+    match a, b with
+    | Value.Null, _ | _, Value.Null ->
+      if logic = Sqlval.Logic_mode.L2 then Truth.False else Truth.Unknown
+    | _ -> t (holds (Value.compare_total a b))
+  in
+  let ( &&& ) x y =
+    match x, y with
+    | Truth.False, _ | _, Truth.False -> Truth.False
+    | Truth.True, Truth.True -> Truth.True
+    | _ -> Truth.Unknown
+  in
+  let ( ||| ) x y =
+    match x, y with
+    | Truth.True, _ | _, Truth.True -> Truth.True
+    | Truth.False, Truth.False -> Truth.False
+    | _ -> Truth.Unknown
+  in
+  let rec go = function
+    | A.Ptrue -> Truth.True
+    | A.Pfalse -> Truth.False
+    | A.Cmp (op, a, b) ->
+      let holds =
+        match op with
+        | A.Eq -> fun c -> c = 0
+        | A.Ne -> fun c -> c <> 0
+        | A.Lt -> fun c -> c < 0
+        | A.Le -> fun c -> c <= 0
+        | A.Gt -> fun c -> c > 0
+        | A.Ge -> fun c -> c >= 0
+      in
+      atom holds (scalar a) (scalar b)
+    | A.Between (a, lo, hi) ->
+      let v = scalar a in
+      atom (fun c -> c >= 0) v (scalar lo) &&& atom (fun c -> c <= 0) v (scalar hi)
+    | A.In_list (a, ws) ->
+      let v = scalar a in
+      List.fold_left (fun acc w -> acc ||| atom (fun c -> c = 0) v w) Truth.False ws
+    | A.Is_null a -> t (scalar a = Value.Null)
+    | A.Is_not_null a -> t (scalar a <> Value.Null)
+    | A.And (p, q) -> go p &&& go q
+    | A.Or (p, q) -> go p ||| go q
+    | A.Not p ->
+      (match go p with
+       | Truth.True -> Truth.False
+       | Truth.False -> Truth.True
+       | Truth.Unknown -> Truth.Unknown)
+    | A.Exists _ -> assert false
+  in
+  go p
+
+type predicate_case = {
+  pc_pred : A.pred;
+  pc_r : Value.t array;
+  pc_s : Value.t array;
+  pc_t : Value.t array;
+  pc_hosts : (string * Value.t) list;
+}
+
+let predicate_case_gen =
+  let open QCheck2.Gen in
+  let row = array_repeat 2 predicate_value_gen in
+  let* pc_pred = G.pred_gen in
+  let* pc_r = row and* pc_s = row and* pc_t = row in
+  let* h1 = predicate_value_gen and* h2 = predicate_value_gen in
+  return { pc_pred; pc_r; pc_s; pc_t; pc_hosts = [ ("H1", h1); ("H2", h2) ] }
+
+let print_predicate_case c =
+  let row r = String.concat ", " (Array.to_list (Array.map Value.to_string r)) in
+  Printf.sprintf "%s\nR(%s) S(%s) T(%s) :H1=%s :H2=%s" (G.pred_print c.pc_pred)
+    (row c.pc_r) (row c.pc_s) (row c.pc_t)
+    (Value.to_string (List.assoc "H1" c.pc_hosts))
+    (Value.to_string (List.assoc "H2" c.pc_hosts))
+
+(* The truth of a predicate as the executor sees it: a WHERE over one row
+   passes it when the predicate is true, a WHERE NOT when it is false. *)
+let executed_truth run p =
+  match run p, run (A.Not p) with
+  | true, false -> Some Truth.True
+  | false, true -> Some Truth.False
+  | false, false -> Some Truth.Unknown
+  | true, true -> None
+
+(* Every predicate the executor compiles — a filter over the R × S row, and
+   an EXISTS body over T (named R, shadowing the outer R) correlated with
+   S — agrees with the reference under both logics, for both EXISTS
+   strategies. *)
+let prop_compiled_predicates_match_reference =
+  QCheck2.Test.make ~name:"compiled predicates match a reference interpreter"
+    ~count:500 ~print:print_predicate_case predicate_case_gen (fun c ->
+      let db = DB.create predicate_catalog in
+      DB.load db "R" [ c.pc_r ];
+      DB.load db "S" [ c.pc_s ];
+      DB.load db "T" [ c.pc_t ];
+      let from t corr = { A.table = t; corr = Some corr } in
+      let spec from where =
+        A.Spec (A.plain_spec ~select:A.Star ~from ~where ())
+      in
+      let outer = [ from "R" "R"; from "S" "S" ] in
+      let value row = function "A" | "C" -> row.(0) | _ -> row.(1) in
+      let host h = List.assoc h c.pc_hosts in
+      List.for_all
+        (fun (logic, exists_impl) ->
+          let run q =
+            let config =
+              { (Exec.default_config ()) with Exec.logic; exists_impl }
+            in
+            (Exec.run_query ~config db ~hosts:c.pc_hosts q).Relation.rows <> []
+          in
+          let expected r =
+            Some
+              (reference_truth logic ~host c.pc_pred ~col:(fun a ->
+                   value
+                     (if a.Schema.Attr.rel = "R" then r else c.pc_s)
+                     a.Schema.Attr.name))
+          in
+          executed_truth (fun p -> run (spec outer p)) c.pc_pred = expected c.pc_r
+          && executed_truth
+               (fun p ->
+                 run (spec outer (A.Exists (A.plain_spec ~select:A.Star
+                                              ~from:[ from "T" "R" ] ~where:p ()))))
+               c.pc_pred
+             = expected c.pc_t)
+        [ (Sqlval.Logic_mode.L3, Exec.Naive_exists);
+          (Sqlval.Logic_mode.L3, Exec.Indexed_exists);
+          (Sqlval.Logic_mode.L2, Exec.Naive_exists);
+          (Sqlval.Logic_mode.L2, Exec.Indexed_exists) ])
+
+(* Compiling resolves nothing it cannot: a bad reference compiles, runs
+   clean over an empty table, and raises as before once a row reaches it. *)
+let test_compile_is_pure () =
+  let cases =
+    [ ( "SELECT R.A FROM R WHERE R.NOPE = 1",
+        function Exec.Unbound_column _ -> true | _ -> false );
+      ( "SELECT R.B FROM R, R X WHERE A = 1 OR R.B = X.B",
+        function Failure _ -> true | _ -> false );
+      ( "SELECT R.A FROM R WHERE R.A = :MISSING",
+        function Exec.Unbound_host _ -> true | _ -> false );
+      ( "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM S WHERE S.NOPE = R.A)",
+        function Exec.Unbound_column _ -> true | _ -> false );
+      ( "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM S WHERE S.C = :MISSING)",
+        function Exec.Unbound_host _ -> true | _ -> false );
+      ( "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM NOSUCH N WHERE N.A = 1)",
+        function Failure _ -> true | _ -> false ) ]
+  in
+  List.iter
+    (fun (q, expected) ->
+      let compile db =
+        Exec.compile db ~hosts:[]
+          (Relalg.Plan.of_query (DB.catalog db) (Sql.Parser.parse_query q))
+      in
+      let empty = DB.create (DB.catalog (small_db ())) in
+      Alcotest.(check int) ("no rows, no error: " ^ q) 0
+        (List.length (Engine.Operator.to_relation (compile empty)).Relation.rows);
+      let op = compile (small_db ()) in
+      match Engine.Operator.to_relation op with
+      | exception e when expected e -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" q (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: expected an error" q)
+    cases
+
+let correlation_db () =
+  let cat =
+    List.fold_left Catalog.add_ddl (DB.catalog (small_db ()))
+      [ "CREATE TABLE T (A INT NOT NULL, B VARCHAR(10), PRIMARY KEY (A))" ]
+  in
+  let db = DB.create cat in
+  List.iter
+    (fun t -> DB.load db t (DB.table (small_db ()) t).Relation.rows)
+    [ "R"; "S" ];
+  DB.load db "T" [ [| v_int 5; v_str "x" |]; [| v_int 6; v_str "z" |] ];
+  db
+
+let test_correlation_innermost_first () =
+  let db = correlation_db () in
+  let cases =
+    [ (* R.A inside names T's row: every outer row qualifies *)
+      ( "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM T R WHERE R.A = 5)",
+        [ 1; 2; 3 ] );
+      ( "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM T X WHERE X.B = R.B)",
+        [ 1; 3 ] );
+      (* two levels: the innermost body reads the middle block (S.C) and
+         the outermost (R.B) *)
+      ( "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM S WHERE S.C = R.A AND \
+         EXISTS (SELECT * FROM T WHERE T.B = R.B AND T.A > S.C))",
+        [ 1 ] );
+      ( "SELECT R.A FROM R WHERE NOT EXISTS (SELECT * FROM S WHERE S.C = R.A \
+         AND EXISTS (SELECT * FROM T R WHERE R.B = 'z' AND R.A > S.C))",
+        [ 3 ] ) ]
+  in
+  List.iter
+    (fun (q, expected) ->
+      List.iter
+        (fun exists_impl ->
+          let config = { (Exec.default_config ()) with Exec.exists_impl } in
+          check_rows q (List.map (fun a -> [ v_int a ]) expected)
+            (run ~config db q))
+        [ Exec.Naive_exists; Exec.Indexed_exists ])
+    cases
+
+(* Single-level EXISTS: both strategies evaluate the subquery once per
+   outer row. *)
+let test_exists_strategies_count_alike () =
+  let db = Workload.Generator.supplier_db ~suppliers:30 ~parts_per_supplier:4 () in
+  List.iter
+    (fun q ->
+      let stats exists_impl =
+        let config = { (Exec.default_config ()) with Exec.exists_impl } in
+        let r = run ~config db q in
+        (r, config.Exec.stats.Engine.Stats.subquery_evals)
+      in
+      let naive, naive_evals = stats Exec.Naive_exists in
+      let indexed, indexed_evals = stats Exec.Indexed_exists in
+      Alcotest.(check bool) ("agree: " ^ q) true (Relation.equal_bags naive indexed);
+      Alcotest.(check int) ("subquery_evals: " ^ q) naive_evals indexed_evals;
+      Alcotest.(check bool) ("evaluated: " ^ q) true (naive_evals > 0))
+    [ "SELECT S.SNO FROM SUPPLIER S WHERE EXISTS (SELECT * FROM PARTS P \
+       WHERE P.SNO = S.SNO AND P.COLOR = 'RED')";
+      "SELECT S.SNO FROM SUPPLIER S WHERE NOT EXISTS (SELECT * FROM PARTS P \
+       WHERE P.SNO = S.SNO AND P.COLOR = 'RED')";
+      "SELECT P.PNO FROM PARTS P WHERE EXISTS (SELECT * FROM PARTS P WHERE \
+       P.PNO = 1)" ]
 
 (* ---- duplicate-elimination strategies under the full executor ---- *)
 
@@ -1204,8 +1473,17 @@ let () =
             test_planned_join_orders_agree;
           Alcotest.test_case "unique builds execute correctly" `Quick
             test_planned_unique_build_execution;
-          Alcotest.test_case "scan cache is bounded and correct" `Quick
-            test_scan_cache_bounded;
+          Alcotest.test_case "joins and EXISTS match the baseline" `Quick
+            test_joins_and_exists_match_baseline;
+        ] );
+      ( "compiled",
+        [
+          QCheck_alcotest.to_alcotest prop_compiled_predicates_match_reference;
+          Alcotest.test_case "compiling is pure" `Quick test_compile_is_pure;
+          Alcotest.test_case "correlation resolves innermost-first" `Quick
+            test_correlation_innermost_first;
+          Alcotest.test_case "EXISTS strategies count alike" `Quick
+            test_exists_strategies_count_alike;
         ] );
       ( "dedup",
         [

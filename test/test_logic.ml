@@ -54,6 +54,90 @@ let test_eval_hosts () =
   Alcotest.check truth "host hit" Truth.True
     (eval env (Sql.Parser.parse_pred "R.A = :X"))
 
+(* ---- the staged evaluator ---- *)
+
+(* A resolver over Gen_sql environments whose host lookups are counted. *)
+let counting_resolver env =
+  let host_calls = ref 0 in
+  ( {
+      Logic.Eval.column = (fun a env -> G.lookup_col env a);
+      host =
+        (fun h ->
+          incr host_calls;
+          G.lookup_host env h);
+      exists = (fun _ _ -> Alcotest.fail "no EXISTS expected");
+    },
+    host_calls )
+
+(* One compilation serves every row: applied to several column bindings
+   (hosts fixed, as in one statement) it agrees with compiling per row. *)
+let prop_compile_once =
+  QCheck2.Test.make ~name:"one compilation serves every row" ~count:500
+    ~print:(fun (p, (env, _)) -> G.pred_env_print (p, env))
+    QCheck2.Gen.(
+      pair G.pred_gen (pair G.env_gen (list_size (int_range 1 5) G.env_gen)))
+    (fun (p, (env, rows)) ->
+      List.for_all
+        (fun logic ->
+          let r, _ = counting_resolver env in
+          let compiled = Logic.Eval.compile_pred ~logic r p in
+          List.for_all
+            (fun row ->
+              let row = { row with G.host_vals = env.G.host_vals } in
+              Truth.equal (compiled row)
+                (Logic.Eval.eval_pred_simple ~logic
+                   ~lookup_col:(G.lookup_col row) ~lookup_host:(G.lookup_host row)
+                   p))
+            rows)
+        [ Sqlval.Logic_mode.L3; Sqlval.Logic_mode.L2 ])
+
+let test_hosts_resolve_lazily () =
+  let env = env_of_list [ ("R.A", Value.Int 7) ] [ ("X", Value.Int 7) ] in
+  let r, host_calls = counting_resolver env in
+  let p = Sql.Parser.parse_pred "R.A = :X" in
+  let compiled = Logic.Eval.compile_pred r p in
+  Alcotest.(check int) "compiling looks up no host" 0 !host_calls;
+  Alcotest.check truth "first row" Truth.True (compiled env);
+  Alcotest.check truth "second row" Truth.True (compiled env);
+  Alcotest.(check int) "one lookup per reference" 1 !host_calls;
+  let unbound =
+    Logic.Eval.compile_pred
+      { r with Logic.Eval.host = (fun h -> raise (Logic.Eval.Unbound_host h)) }
+      (Sql.Parser.parse_pred "R.A = :MISSING")
+  in
+  for _ = 1 to 2 do
+    match unbound env with
+    | exception Logic.Eval.Unbound_host "MISSING" -> ()
+    | _ -> Alcotest.fail "an unbound host raises on every evaluation"
+  done
+
+(* An EXISTS is compiled once and evaluated on every row, whatever the
+   other side of its AND / OR yields. *)
+let test_exists_compiled_once () =
+  let compiled = ref 0 and evaluated = ref 0 in
+  let r =
+    {
+      Logic.Eval.column = (fun _ () -> Value.Null);
+      host = (fun _ -> Value.Null);
+      exists =
+        (fun _ ->
+          incr compiled;
+          fun () ->
+            incr evaluated;
+            true);
+    }
+  in
+  let p =
+    Sql.Parser.parse_pred
+      "(FALSE AND EXISTS (SELECT * FROM T)) OR (TRUE OR EXISTS (SELECT * FROM T))"
+  in
+  let test = Logic.Eval.compile_pred r p in
+  Alcotest.(check int) "compiled once each" 2 !compiled;
+  for _ = 1 to 3 do
+    Alcotest.check truth "true" Truth.True (test ())
+  done;
+  Alcotest.(check int) "both evaluated on every row" 6 !evaluated
+
 (* ---- normal forms preserve 3VL truth ---- *)
 
 let prop_preserves env_eval name transform =
@@ -465,6 +549,14 @@ let () =
           Alcotest.test_case "null semantics" `Quick test_eval_null_semantics;
           Alcotest.test_case "between/in" `Quick test_eval_between_in;
           Alcotest.test_case "host variables" `Quick test_eval_hosts;
+        ] );
+      ( "staged",
+        [
+          QCheck_alcotest.to_alcotest prop_compile_once;
+          Alcotest.test_case "hosts resolve lazily" `Quick
+            test_hosts_resolve_lazily;
+          Alcotest.test_case "EXISTS compiled once, always evaluated" `Quick
+            test_exists_compiled_once;
         ] );
       ( "normal-forms",
         List.map QCheck_alcotest.to_alcotest
