@@ -1560,14 +1560,15 @@ let experiment_symbolic () =
 
 (* ------------------------------------------------------ DISTINCT_SCALE *)
 
-(* End-to-end DISTINCT on bulk instances across the three streaming
-   strategies (plus the materializing sort baseline), sweeping duplicate
-   selectivity and physical-order coverage. The headline assertion is the
-   paper's Theorem 1 payoff made measurable: on a key-covered workload the
-   elided operator (a pass-through licensed by Algorithm 1) must not lose
-   to hash dedup. Row count is overridable for CI smoke via
-   DISTINCT_SCALE_ROWS (default 1,000,000). *)
-
+(* End-to-end DISTINCT on bulk instances: the elided pass-through, the one
+   streaming operator (Operator.unique, on both sides of its choice) and
+   the materializing sort baseline, sweeping duplicate selectivity and
+   physical-order coverage. The headline assertion is the paper's
+   Theorem 1 payoff made measurable: on a key-covered workload the elided
+   operator (a pass-through licensed by Algorithm 1) must not lose to
+   hash dedup over the same rows with no verified order. Every streaming
+   run asserts the path it narrates and the state it held. Row count is
+   overridable for CI smoke via DISTINCT_SCALE_ROWS (default 1,000,000). *)
 let experiment_distinct_scale () =
   section
     "DISTINCT_SCALE  streaming duplicate elimination at scale \
@@ -1585,10 +1586,11 @@ let experiment_distinct_scale () =
   let cat = Workload.Datagen.catalog in
   let key_q = parse Workload.Datagen.key_query in
   let grp_q = parse Workload.Datagen.group_query in
+  let pair_sql = "SELECT DISTINCT B.GRP, B.VAL FROM BULK B" in
+  let pair_q = parse pair_sql in
   let impl_name = function
     | Engine.Exec.Sort_distinct -> "sort"
     | Engine.Exec.Stream_hash -> "stream-hash"
-    | Engine.Exec.Stream_sorted -> "stream-sorted"
     | Engine.Exec.Stream_elided -> "elided"
   in
   let run_one db q impl =
@@ -1606,10 +1608,10 @@ let experiment_distinct_scale () =
     List.map
       (fun impl ->
         let out, t, st = run_one db q impl in
-        Printf.printf "%20s %10d %12.1f %10.1f %12d %10d %10d  %s\n"
+        Printf.printf "%20s %10d %12.1f %10.1f %12d %10d  %s\n"
           (impl_name impl) out t.median_ms t.spread_ms
           st.Engine.Stats.dedup_state_peak st.Engine.Stats.distinct_elisions
-          st.Engine.Stats.sorted_fallbacks st.Engine.Stats.dedup_strategy;
+          st.Engine.Stats.dedup_strategy;
         (impl, out, t, st))
       impls
   in
@@ -1622,12 +1624,42 @@ let experiment_distinct_scale () =
         ("dedup_rows_in", Trace.Json.Int st.Engine.Stats.dedup_rows_in);
         ("dedup_state_peak", Trace.Json.Int st.Engine.Stats.dedup_state_peak);
         ("distinct_elisions", Trace.Json.Int st.Engine.Stats.distinct_elisions);
-        ("sorted_fallbacks", Trace.Json.Int st.Engine.Stats.sorted_fallbacks);
         ("dedup_strategy", Trace.Json.String st.Engine.Stats.dedup_strategy) ]
   in
   let header () =
-    Printf.printf "%20s %10s %12s %10s %12s %10s %10s  %s\n" "impl" "rows out"
-      "median (ms)" "spread" "state peak" "elisions" "fallbacks" "strategy"
+    Printf.printf "%20s %10s %12s %10s %12s %10s  %s\n" "impl" "rows out"
+      "median (ms)" "spread" "state peak" "elisions" "strategy"
+  in
+  let find impl ms = List.find (fun (i, _, _, _) -> i = impl) ms in
+  (* the stream-hash run took [path] and held [peak] rows of state *)
+  let expect what ms ~path ~peak =
+    let _, _, _, st = find Engine.Exec.Stream_hash ms in
+    if st.Engine.Stats.dedup_strategy <> path then
+      failwith
+        (Printf.sprintf "DISTINCT_SCALE: %s ran %s, expected %s" what
+           st.Engine.Stats.dedup_strategy path);
+    if st.Engine.Stats.dedup_state_peak <> peak then
+      failwith
+        (Printf.sprintf "DISTINCT_SCALE: %s held %d rows of state, expected %d"
+           what st.Engine.Stats.dedup_state_peak peak)
+  in
+  (* The largest number of distinct [cols] values within one run of rows
+     sharing column [run_col], counted here with a Hashtbl — no engine
+     code. *)
+  let largest_run db ~run_col cols =
+    let seen = Hashtbl.create 1024 in
+    let best = ref 0 and current = ref None in
+    List.iter
+      (fun (r : Engine.Relation.row) ->
+        (match run_col with
+         | Some c when !current <> Some r.(c) ->
+           Hashtbl.reset seen;
+           current := Some r.(c)
+         | Some _ | None -> ());
+        Hashtbl.replace seen (List.map (fun c -> r.(c)) cols) ();
+        best := max !best (Hashtbl.length seen))
+      (Engine.Database.table db "BULK").Engine.Relation.rows;
+    !best
   in
   (* -- key-covered workload: SELECT DISTINCT B.K, K the primary key ---- *)
   Printf.printf "\nkey-covered: %s  (%d rows, key order)\n"
@@ -1643,16 +1675,28 @@ let experiment_distinct_scale () =
   let key_measurements =
     measure db_key key_q
       [ Engine.Exec.Stream_elided; Engine.Exec.Stream_hash;
-        Engine.Exec.Stream_sorted; Engine.Exec.Sort_distinct ]
+        Engine.Exec.Sort_distinct ]
   in
+  expect "key order" key_measurements ~path:"sorted-unique" ~peak:1;
+  (* the same rows with no verified order: the operator hashes every
+     column *)
+  Printf.printf "\nkey-unordered: %s  (%d rows, loaded without order)\n"
+    Workload.Datagen.key_query rows;
+  header ();
+  let db_plain = Engine.Database.create cat in
+  Engine.Database.load db_plain "BULK"
+    (Engine.Database.table db_key "BULK").Engine.Relation.rows;
+  let plain_measurements = measure db_plain key_q [ Engine.Exec.Stream_hash ] in
+  expect "no order" plain_measurements ~path:"hash-unique" ~peak:rows;
   let ms_of impl ms =
-    let _, _, t, _ = List.find (fun (i, _, _, _) -> i = impl) ms in
+    let _, _, t, _ = find impl ms in
     t.median_ms
   in
   let elided_ms = ms_of Engine.Exec.Stream_elided key_measurements in
-  let hash_ms = ms_of Engine.Exec.Stream_hash key_measurements in
+  let hash_ms = ms_of Engine.Exec.Stream_hash plain_measurements in
   let elided_le_hash = elided_ms <= hash_ms in
-  Printf.printf "elided <= hash on key-covered workload: %b (%.1f vs %.1f ms)\n"
+  Printf.printf
+    "elided <= hash (no order) on the key-covered rows: %b (%.1f vs %.1f ms)\n"
     elided_le_hash elided_ms hash_ms;
   if not elided_le_hash then
     failwith
@@ -1675,32 +1719,40 @@ let experiment_distinct_scale () =
         header ();
         let db = Workload.Datagen.generate cfg in
         let ms =
-          measure db grp_q
-            [ Engine.Exec.Stream_sorted; Engine.Exec.Stream_hash;
-              Engine.Exec.Sort_distinct ]
+          measure db grp_q [ Engine.Exec.Stream_hash; Engine.Exec.Sort_distinct ]
         in
-        (* the covered sorted run must hold exactly one row of state *)
-        let _, _, _, sorted_stats =
-          List.find (fun (i, _, _, _) -> i = Engine.Exec.Stream_sorted) ms
-        in
-        if sorted_stats.Engine.Stats.sorted_fallbacks <> 0 then
-          failwith "DISTINCT_SCALE: sorted dedup fell back on a covered order";
-        if sorted_stats.Engine.Stats.dedup_state_peak > 1 then
-          failwith "DISTINCT_SCALE: sorted dedup held more than one row";
+        expect "group order" ms ~path:"sorted-unique" ~peak:1;
         Trace.Json.Obj
           [ ("distinct_fraction", Trace.Json.Float fraction);
             ("groups", Trace.Json.Int n_groups);
             ("measurements", Trace.Json.List (List.map measurement_json ms)) ])
       [ 0.001; 0.1 ]
   in
-  (* -- uncovered order: sorted must fall back to hash, correctly ------- *)
+  (* -- partial prefix: the group order covers GRP, not VAL ------------- *)
+  let pair_cfg =
+    { Workload.Datagen.default with
+      Workload.Datagen.rows;
+      distinct_fraction = 0.001;
+      order = Workload.Datagen.Group_order }
+  in
+  let pair_groups = Workload.Datagen.groups pair_cfg in
+  Printf.printf "\npartial prefix: %s  (%d rows, %d groups, group order)\n"
+    pair_sql rows pair_groups;
+  header ();
+  let db_pair = Workload.Datagen.generate pair_cfg in
+  let pair_largest = largest_run db_pair ~run_col:(Some 1) [ 1; 2 ] in
+  let pair_measurements =
+    measure db_pair pair_q [ Engine.Exec.Stream_hash; Engine.Exec.Sort_distinct ]
+  in
+  expect "partial prefix" pair_measurements ~path:"prefix-unique"
+    ~peak:pair_largest;
+  (* -- uncovered order: the key order covers none of GRP --------------- *)
   Printf.printf "\nuncovered: %s  (%d rows, key order — no covering order)\n"
     Workload.Datagen.group_query rows;
   header ();
-  let uncovered = measure db_key grp_q [ Engine.Exec.Stream_sorted ] in
-  let _, _, _, fb_stats = List.hd uncovered in
-  if fb_stats.Engine.Stats.sorted_fallbacks <> 1 then
-    failwith "DISTINCT_SCALE: expected exactly one sorted->hash fallback";
+  let uncovered = measure db_key grp_q [ Engine.Exec.Stream_hash ] in
+  expect "uncovered order" uncovered ~path:"hash-unique"
+    ~peak:(largest_run db_key ~run_col:None [ 1 ]);
   let json =
     bench_json ~bench:"distinct_scale" ~row_scale:rows
       [ ("repeats", Trace.Json.Int repeats);
@@ -1713,13 +1765,20 @@ let experiment_distinct_scale () =
               ("alg1_yes", Trace.Json.Bool choice.Optimizer.Distinct_plan.alg1_yes);
               ( "measurements",
                 Trace.Json.List (List.map measurement_json key_measurements) );
+              ( "unordered_measurements",
+                Trace.Json.List (List.map measurement_json plain_measurements) );
               ("elided_le_hash", Trace.Json.Bool elided_le_hash) ] );
         ("selectivity_sweep", Trace.Json.List selectivity_json);
-        ( "uncovered_fallback",
+        ( "partial_prefix",
+          Trace.Json.Obj
+            [ ("query", Trace.Json.String pair_sql);
+              ("groups", Trace.Json.Int pair_groups);
+              ("largest_run_distinct", Trace.Json.Int pair_largest);
+              ( "measurements",
+                Trace.Json.List (List.map measurement_json pair_measurements) ) ] );
+        ( "uncovered",
           Trace.Json.Obj
             [ ("query", Trace.Json.String Workload.Datagen.group_query);
-              ( "sorted_fallbacks",
-                Trace.Json.Int fb_stats.Engine.Stats.sorted_fallbacks );
               ( "measurements",
                 Trace.Json.List (List.map measurement_json uncovered) ) ] ) ]
   in

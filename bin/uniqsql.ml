@@ -306,11 +306,10 @@ let run_cmd =
         let st = cfg.Engine.Exec.stats in
         if st.Engine.Stats.dedup_strategy <> "" then
           Format.printf
-            "dedup: %s (rows in=%d out=%d, state peak=%d, elisions=%d, \
-             sorted fallbacks=%d)@."
+            "dedup: %s (rows in=%d out=%d, state peak=%d, elisions=%d)@."
             st.Engine.Stats.dedup_strategy st.Engine.Stats.dedup_rows_in
             st.Engine.Stats.dedup_rows_out st.Engine.Stats.dedup_state_peak
-            st.Engine.Stats.distinct_elisions st.Engine.Stats.sorted_fallbacks;
+            st.Engine.Stats.distinct_elisions;
         if st.Engine.Stats.join_strategy <> "" then
           Format.printf
             "join: %s (build rows=%d, probe rows=%d, unique builds=%d, \

@@ -465,11 +465,12 @@ let cache_consistency (c : Case.t) =
 
 (* Operator-agreement oracle: every duplicate-elimination strategy is one
    implementation of the same bag function, so on DISTINCT-forced runs the
-   materializing baseline (sort), the streaming hash, and the sort-aware
-   streaming variant must return bag-equal results on every instance. The
-   planner half additionally pins the elision certificate: Distinct_plan
-   may pick the pass-through only when Algorithm 1 independently answers
-   YES, and whatever it picks must match the baseline. *)
+   materializing baseline (sort) and the streaming [Operator.unique] —
+   whichever path the instance's verified order selects — must return
+   bag-equal results on every instance. The planner half additionally
+   pins the elision certificate: Distinct_plan may pick the pass-through
+   only when Algorithm 1 independently answers YES, and whatever it picks
+   must match the baseline. *)
 let distinct_strategies ?cache (c : Case.t) =
   match c.Case.query with
   | A.Setop _ ->
@@ -488,24 +489,16 @@ let distinct_strategies ?cache (c : Case.t) =
       guard (fun () ->
           on_instances c (fun db hosts i ->
               let baseline = run Engine.Exec.Sort_distinct db hosts in
-              let check name impl =
-                let r = run impl db hosts in
-                if Engine.Relation.equal_bags baseline r then None
-                else
-                  Some
-                    (Printf.sprintf
-                       "instance %d: %s disagrees with sort-distinct (%d vs \
-                        %d rows)"
-                       i name
-                       (Engine.Relation.cardinality r)
-                       (Engine.Relation.cardinality baseline))
-              in
-              List.fold_left
-                (fun acc (name, impl) ->
-                  match acc with Some _ -> acc | None -> check name impl)
-                None
-                [ ("stream-hash", Engine.Exec.Stream_hash);
-                  ("stream-sorted", Engine.Exec.Stream_sorted) ]))
+              let r = run Engine.Exec.Stream_hash db hosts in
+              if Engine.Relation.equal_bags baseline r then None
+              else
+                Some
+                  (Printf.sprintf
+                     "instance %d: stream-hash disagrees with sort-distinct \
+                      (%d vs %d rows)"
+                     i
+                     (Engine.Relation.cardinality r)
+                     (Engine.Relation.cardinality baseline))))
     in
     let planner =
       guard (fun () ->

@@ -2,9 +2,9 @@
 
     Besides the rows themselves, each table remembers its {e verified
     physical order}: the column list passed to {!load_sorted}, checked
-    against the data at load time. The streaming executor's sort-aware
-    duplicate elimination ({!Operator.sorted_unique}) is only sound when
-    equal rows are adjacent, so order provenance starts here — an
+    against the data at load time. The streaming executor's duplicate
+    elimination ({!Operator.unique}) trusts that rows sharing the ordered
+    columns are adjacent, so order provenance starts here — an
     unverified claim of sortedness would silently drop or keep the wrong
     rows. {!load} and {!insert} reset the order to the empty list. *)
 

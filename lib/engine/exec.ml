@@ -4,7 +4,6 @@ module Truth = Sqlval.Truth
 type distinct_impl =
   | Sort_distinct
   | Stream_hash
-  | Stream_sorted
   | Stream_elided
 
 type exists_impl = Naive_exists | Indexed_exists
@@ -91,8 +90,8 @@ let resolve scopes a : Relation.row -> Value.t =
    lexicographic guarantee across a missing sort key. When the projection
    duplicates an input column, every output copy is emitted (the later,
    renamed copies carry the same values, so a stream sorted on the first
-   copy is sorted on all of them) — without this, [Operator.order_covers]
-   could never certify a select list with a repeated column. *)
+   copy is sorted on all of them) — without this, [Operator.unique] could
+   never find a select list with a repeated column covered. *)
 let project_order in_schema in_order items out_schema =
   let pos_of a =
     match Schema.Relschema.find_index in_schema a with
@@ -128,6 +127,29 @@ let project_order in_schema in_order items out_schema =
        | None -> [])
   in
   go in_order
+
+(* A merge join compares the key vector lexicographically, so the equi
+   list must be arranged to follow both streams' verified order prefixes
+   pairwise — (probe key i, build key i) at order position i on each side.
+   The arranged list, or None when no such arrangement exists. *)
+let arrange_for_merge probe_order build_order equis =
+  let rec go probe_order build_order remaining arranged =
+    match remaining with
+    | [] -> Some (List.rev arranged)
+    | _ ->
+      (match probe_order, build_order with
+       | pa :: ra, pb :: rb ->
+         (match
+            List.find_opt
+              (fun (x, y) -> Schema.Attr.equal x pa && Schema.Attr.equal y pb)
+              remaining
+          with
+          | Some e ->
+            go ra rb (List.filter (fun e' -> e' != e) remaining) (e :: arranged)
+          | None -> None)
+       | _ -> None)
+  in
+  go probe_order build_order equis []
 
 (* Running state of one aggregate over one group, as small as its
    function allows (a group table can hold one per input row). Each
@@ -424,12 +446,10 @@ let compile ?config db ~hosts plan : Operator.t =
          stats.Stats.sort_elisions <- stats.Stats.sort_elisions + 1;
          op)
 
-  and exec plan : Relation.t = Operator.to_relation (compile_node plan)
-
   (* Duplicate elimination over the projected stream. The materializing
      sort predates the operator pipeline and is kept as the ablation
-     baseline; the three [Stream_*] strategies are the paper's cost
-     spectrum. *)
+     baseline; [Operator.unique] reads the stream's own order prefix, and
+     the elided pass-through stands in under an Algorithm 1 certificate. *)
   and distinct (op : Operator.t) : Operator.t =
     let schema = op.Operator.schema in
     match cfg.distinct_impl with
@@ -444,13 +464,7 @@ let compile ?config db ~hosts plan : Operator.t =
           stats.Stats.dedup_rows_out <-
             stats.Stats.dedup_rows_out + List.length out;
           out)
-    | Stream_hash -> Operator.hash_unique ~stats op
-    | Stream_sorted ->
-      (match Operator.sorted_unique ~stats op with
-       | Some sorted -> sorted
-       | None ->
-         stats.Stats.sorted_fallbacks <- stats.Stats.sorted_fallbacks + 1;
-         Operator.hash_unique ~strategy:"sorted-unique->hash" ~stats op)
+    | Stream_hash -> Operator.unique ~stats op
     | Stream_elided -> Operator.elided_unique ~stats op
 
   (* Hash aggregation: one pass over the input, each row's group found in
@@ -649,34 +663,6 @@ let compile ?config db ~hosts plan : Operator.t =
       let equis =
         List.filter_map as_equi (take (fun c -> as_equi c <> None))
       in
-      (* A merge join compares the key vector lexicographically, so the
-         equi list must be arranged to follow both streams' verified order
-         prefixes pairwise — (probe key i, build key i) at order position i
-         on each side. Returns the arranged list, or None when no such
-         arrangement exists (the planner's certificate is then dropped, a
-         malformed plan never changes answers). *)
-      let arrange_for_merge equis =
-        let rec go acc_order build_order remaining arranged =
-          match remaining with
-          | [] -> Some (List.rev arranged)
-          | _ ->
-            (match acc_order, build_order with
-             | pa :: ra, pb :: rb ->
-               (match
-                  List.find_opt
-                    (fun (x, y) ->
-                      Schema.Attr.equal x pa && Schema.Attr.equal y pb)
-                    remaining
-                with
-                | Some e ->
-                  go ra rb
-                    (List.filter (fun e' -> e' != e) remaining)
-                    (e :: arranged)
-                | None -> None)
-             | _ -> None)
-        in
-        go acc.Operator.order build.Operator.order equis []
-      in
       let joined =
         match equis with
         | [] ->
@@ -692,8 +678,12 @@ let compile ?config db ~hosts plan : Operator.t =
                 (fun (_, y) -> Schema.Relschema.index_of build.Operator.schema y)
                 equis )
           in
+          (* with no arrangement the planner's merge certificate is
+             dropped: a malformed plan never changes answers *)
           (match
-             if merge_of leaf_idx then arrange_for_merge equis else None
+             if merge_of leaf_idx then
+               arrange_for_merge acc.Operator.order build.Operator.order equis
+             else None
            with
            | Some arranged ->
              let probe_key, build_key = keys_of arranged in
@@ -721,8 +711,8 @@ let compile ?config db ~hosts plan : Operator.t =
   and setop kind d a b =
     match d with
     | Sql.Ast.Distinct ->
-      (* DISTINCT set operations stream: dedup the left input with a hash
-         set, then keep (INTERSECT) or drop (EXCEPT) the rows present in
+      (* DISTINCT set operations stream: dedup the left input
+         ([Operator.unique]), then keep (INTERSECT) or drop (EXCEPT) the rows present in
          the right via a hash semi-join keyed on the whole row. Set
          operations equate NULLs, so the semi-join keys use the
          null-comparison total order ([~null_equal]). Order provenance is
@@ -752,7 +742,7 @@ let compile ?config db ~hosts plan : Operator.t =
           ~anti:(kind = `Except)
           ~null_equal:true ~stats ~probe_key:(all_cols schema)
           ~build_key:(all_cols right.Operator.schema)
-          (Operator.hash_unique ~stats left)
+          (Operator.unique ~stats left)
           right
       in
       count_output
@@ -762,67 +752,54 @@ let compile ?config db ~hosts plan : Operator.t =
               check_compat ();
               semi.Operator.next ()) }
     | Sql.Ast.All ->
-    let schema = (compile_node a).Operator.schema in
-    (* merge output is fully sorted, so downstream order is all columns *)
-    Operator.of_lazy ~order:(Schema.Relschema.attrs schema) schema (fun () ->
-        let ra = exec a and rb = exec b in
-        if
-          not
-            (Schema.Relschema.union_compatible ra.Relation.schema
-               rb.Relation.schema)
-        then failwith "Exec: set operation on non-union-compatible inputs";
-        let sa = sort_counting ra.Relation.rows
-        and sb = sort_counting rb.Relation.rows in
-        (* group both sorted inputs by row value and merge multiplicities:
-           INTERSECT ALL -> min(j, k); EXCEPT ALL -> max(j - k, 0) *)
-        let rec groups = function
-          | [] -> []
-          | r :: rest ->
-            let rec take n = function
-              | r' :: rest' when (tick_compare (); Relation.compare_rows r r' = 0) ->
-                take (n + 1) rest'
-              | remaining -> (n, remaining)
-            in
-            let n, remaining = take 1 rest in
-            (r, n) :: groups remaining
-        in
-        let ga = groups sa and gb = groups sb in
-        let rec merge ga gb =
-          match ga, gb with
-          | [], _ -> if kind = `Intersect then [] else []
-          | rest, [] -> if kind = `Intersect then [] else rest
-          | (ra', ja) :: ta, (rb', jb) :: tb ->
-            tick_compare ();
-            let c = Relation.compare_rows ra' rb' in
-            if c < 0 then
-              if kind = `Intersect then merge ta gb else (ra', ja) :: merge ta gb
-            else if c > 0 then merge ga tb
-            else
-              (* INTERSECT: min(j, k); INTERSECT DISTINCT: 1 if both present.
-                 EXCEPT ALL: max(j − k, 0); EXCEPT DISTINCT: present in the
-                 left and absent from the right — a single right match
-                 removes the row entirely. *)
-              let m =
-                match kind, d with
-                | `Intersect, Sql.Ast.All -> min ja jb
-                | `Intersect, Sql.Ast.Distinct -> if ja > 0 && jb > 0 then 1 else 0
-                | `Except, Sql.Ast.All -> max (ja - jb) 0
-                | `Except, Sql.Ast.Distinct -> if jb = 0 then 1 else 0
+      let left = compile_node a and right = compile_node b in
+      let schema = left.Operator.schema in
+      (* merge output is fully sorted, so downstream order is all columns *)
+      Operator.of_lazy ~order:(Schema.Relschema.attrs schema) schema (fun () ->
+          let ra = Operator.to_rows left and rb = Operator.to_rows right in
+          if
+            not (Schema.Relschema.union_compatible schema right.Operator.schema)
+          then failwith "Exec: set operation on non-union-compatible inputs";
+          let sa = sort_counting ra and sb = sort_counting rb in
+          (* group both sorted inputs by row value and merge multiplicities:
+             INTERSECT ALL -> min(j, k); EXCEPT ALL -> max(j - k, 0) *)
+          let rec groups = function
+            | [] -> []
+            | r :: rest ->
+              let rec take n = function
+                | r' :: rest' when (tick_compare (); Relation.compare_rows r r' = 0) ->
+                  take (n + 1) rest'
+                | remaining -> (n, remaining)
               in
-              let rest = merge ta tb in
-              if m > 0 then (ra', m) :: rest else rest
-        in
-        let merged = merge ga gb in
-        let rows =
-          List.concat_map
-            (fun (r, n) ->
-              match d with
-              | Sql.Ast.Distinct -> [ r ]
-              | Sql.Ast.All -> List.init n (fun _ -> r))
-            merged
-        in
-        stats.Stats.rows_output <- stats.Stats.rows_output + List.length rows;
-        rows)
+              let n, remaining = take 1 rest in
+              (r, n) :: groups remaining
+          in
+          let rec merge ga gb =
+            match ga, gb with
+            | [], _ -> []
+            | rest, [] -> if kind = `Intersect then [] else rest
+            | (ra', ja) :: ta, (rb', jb) :: tb ->
+              tick_compare ();
+              let c = Relation.compare_rows ra' rb' in
+              if c < 0 then
+                if kind = `Intersect then merge ta gb else (ra', ja) :: merge ta gb
+              else if c > 0 then merge ga tb
+              else
+                let m =
+                  match kind with
+                  | `Intersect -> min ja jb
+                  | `Except -> max (ja - jb) 0
+                in
+                let rest = merge ta tb in
+                if m > 0 then (ra', m) :: rest else rest
+          in
+          let rows =
+            List.concat_map
+              (fun (r, n) -> List.init n (fun _ -> r))
+              (merge (groups sa) (groups sb))
+          in
+          stats.Stats.rows_output <- stats.Stats.rows_output + List.length rows;
+          rows)
   in
   compile_node plan
 
@@ -849,11 +826,6 @@ let distinct_stream db q =
   | _ -> None
   | exception Failure _ -> None
   | exception Not_found -> None
-
-let sorted_covers db q =
-  match distinct_stream db q with
-  | Some (schema, order) -> Operator.order_covers schema order
-  | None -> false
 
 (* Probe for the order planner: compile (never execute) the stream feeding
    a query's ORDER BY and report the requested sort keys plus the stream's

@@ -11,11 +11,12 @@
     plan therefore never executes it — the planner compiles purely to
     inspect order provenance ({!distinct_stream}).
 
-    Duplicate elimination comes in four flavors: the materializing
+    Duplicate elimination comes in three flavors: the materializing
     [Sort_distinct], kept as the ablation baseline (the 1994-era default
-    whose sort is the cost the paper's optimization removes), and three
-    streaming strategies forming the paper's cost spectrum
-    ([Stream_hash], [Stream_sorted], [Stream_elided]).
+    whose sort is the cost the paper's optimization removes), and two
+    streaming ones forming the paper's cost spectrum: [Stream_hash], whose
+    state shrinks as the stream's verified order covers more of the
+    projection, and [Stream_elided].
     [EXISTS] subqueries run as correlated nested loops with early exit,
     resolving free column references against enclosing query blocks
     (innermost first).
@@ -32,11 +33,10 @@ type distinct_impl =
   | Sort_distinct
       (** materialize, O(n log n) sort, adjacent-duplicate removal *)
   | Stream_hash
-      (** streaming {!Operator.hash_unique}: O(distinct rows) state *)
-  | Stream_sorted
-      (** streaming {!Operator.sorted_unique}: one-row state when the
-          stream order covers the projection; degrades to [Stream_hash]
-          (counted in {!Stats.t.sorted_fallbacks}) when it does not *)
+      (** streaming {!Operator.unique}: hashes only the columns the
+          stream's verified order prefix leaves unordered, clearing its
+          table at each new run of the prefix — O(distinct rows) state
+          with no order, one row when the order covers the projection *)
   | Stream_elided
       (** {!Operator.elided_unique}: a pass-through standing where the
           DISTINCT used to be. The engine does NOT re-check the
@@ -66,8 +66,8 @@ type join_step = {
   js_merge : bool;
       (** certificate that both inputs' verified stream orders cover the
           step's join keys pairwise, so the streaming {!Operator.merge_join}
-          is legal. The engine re-derives only the key arrangement (which
-          permutation of the equi list follows both order prefixes) and
+          is legal. The engine re-derives only the key arrangement
+          ({!arrange_for_merge}) and
           falls back to a hash join when none exists; the soundness of the
           ordering claim itself is the planner's (see
           [Optimizer.Order_plan]). Takes precedence over
@@ -163,8 +163,8 @@ val run_sql :
 
 (** {1 Planner probes}
 
-    Used by [Optimizer.Distinct_plan] to pick a duplicate-elimination
-    strategy before running anything. *)
+    Used by the [Optimizer] certificate authorities to inspect streams
+    before running anything. *)
 
 (** Schema and verified order of the stream that would arrive at the
     query's top-level DISTINCT, or [None] when the query does not plan to a
@@ -172,10 +172,6 @@ val run_sql :
     compiles but never executes. *)
 val distinct_stream :
   Database.t -> Sql.Ast.query -> (Schema.Relschema.t * Schema.Attr.t list) option
-
-(** Would [Stream_sorted] run without falling back? True when
-    {!Operator.order_covers} holds for the stream at the DISTINCT point. *)
-val sorted_covers : Database.t -> Sql.Ast.query -> bool
 
 (** Requested sort keys, schema, and verified order of the stream feeding
     the query's [ORDER BY], or [None] when the query has no [Sort] node.
@@ -190,3 +186,15 @@ val order_stream :
   Database.t ->
   Sql.Ast.query ->
   (Schema.Attr.t list * Schema.Relschema.t * Schema.Attr.t list) option
+
+(** [arrange_for_merge probe_order build_order equis] orders the
+    (probe attribute, build attribute) equalities so that pair i sits at
+    position i of both verified orders — the key arrangement a merge join
+    compares lexicographically — or [None] when no arrangement follows
+    both order prefixes. The engine runs it before trusting a [js_merge]
+    flag; [Optimizer.Order_plan] runs it before issuing one. *)
+val arrange_for_merge :
+  Schema.Attr.t list ->
+  Schema.Attr.t list ->
+  (Schema.Attr.t * Schema.Attr.t) list ->
+  (Schema.Attr.t * Schema.Attr.t) list option

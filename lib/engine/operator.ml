@@ -2,14 +2,12 @@ type t = {
   schema : Schema.Relschema.t;
   order : Schema.Attr.t list;
   next : unit -> Relation.row option;
-  rewind : unit -> unit;
   close : unit -> unit;
 }
 
 let schema t = t.schema
 let order t = t.order
 let next t = t.next ()
-let rewind t = t.rewind ()
 let close t = t.close ()
 
 let no_op () = ()
@@ -18,31 +16,23 @@ let of_lazy ?(order = []) ?(tick = no_op) schema produce =
   (* Materialization is deferred to the first [next] so that building a
      pipeline never runs it (the planner compiles plans purely to inspect
      order provenance). *)
-  let source = ref None in
-  let cursor = ref [] in
-  let force () =
-    match !source with
-    | Some rows -> rows
-    | None ->
-      let rows = produce () in
-      source := Some rows;
-      cursor := rows;
-      rows
-  in
+  let produced = ref false and cursor = ref [] in
   {
     schema;
     order;
     next =
       (fun () ->
-        ignore (force ());
+        if not !produced then begin
+          cursor := produce ();
+          produced := true
+        end;
         match !cursor with
         | [] -> None
         | r :: rest ->
           cursor := rest;
           tick ();
           Some r);
-    rewind = (fun () -> cursor := (match !source with Some rows -> rows | None -> []));
-    close = (fun () -> source := Some []; cursor := []);
+    close = (fun () -> produced := true; cursor := []);
   }
 
 let of_rows ?order ?tick schema rows = of_lazy ?order ?tick schema (fun () -> rows)
@@ -60,7 +50,6 @@ let map ?(order = []) schema f op =
     schema;
     order;
     next = (fun () -> Option.map f (op.next ()));
-    rewind = op.rewind;
     close = op.close;
   }
 
@@ -108,11 +97,6 @@ let product ?(tick = no_op) left right =
     schema;
     order = left.order;
     next = pull;
-    rewind =
-      (fun () ->
-        left.rewind ();
-        current := None;
-        pending := []);
     close =
       (fun () ->
         left.close ();
@@ -198,10 +182,6 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     schema;
     order = probe.order;
     next = pull;
-    rewind =
-      (fun () ->
-        probe.rewind ();
-        stop := 0);
     close =
       (fun () ->
         probe.close ();
@@ -326,7 +306,6 @@ let sort ~stats keys op =
     schema = op.schema;
     order = keys;
     next;
-    rewind = (fun () -> pos := 0);
     close = (fun () -> rows := Some [||]; pos := 0);
   }
 
@@ -441,16 +420,6 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
     schema;
     order = probe.order;
     next = pull;
-    rewind =
-      (fun () ->
-        probe.rewind ();
-        build.rewind ();
-        build_ahead := None;
-        build_done := false;
-        group_probe := None;
-        group := [];
-        current := None;
-        pending := []);
     close =
       (fun () ->
         probe.close ();
@@ -463,88 +432,83 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
         pending := []);
   }
 
-let order_covers schema order =
-  let target = Schema.Relschema.attr_set schema in
-  let rec go covered = function
-    | _ when Schema.Attr.Set.equal covered target -> true
-    | [] -> false
-    | a :: rest ->
-      if Schema.Attr.Set.mem a target then
-        go (Schema.Attr.Set.add a covered) rest
-      else false
+let unique_path schema order =
+  let cols = Array.of_list (Schema.Relschema.attrs schema) in
+  let inside a = Array.exists (Schema.Attr.equal a) cols in
+  let rec prefix = function
+    | a :: rest when inside a -> a :: prefix rest
+    | _ -> []
   in
-  go Schema.Attr.Set.empty order
+  let p = prefix order in
+  let positions =
+    Array.of_list
+      (List.filter
+         (fun i -> List.exists (Schema.Attr.equal cols.(i)) p)
+         (List.init (Array.length cols) Fun.id))
+  in
+  let covered = Array.length positions in
+  ( (if covered = 0 then "hash-unique"
+     else if covered = Array.length cols then "sorted-unique"
+     else "prefix-unique"),
+    positions )
 
-let hash_unique ?(strategy = "hash-unique") ~stats op =
-  let all = Array.init (Schema.Relschema.arity op.schema) Fun.id in
-  let seen = ref (Relation.Keyed.create all) in
-  Stats.record_dedup stats ~strategy ~state:0;
+(* Duplicates share P's values and the stream is sorted on P, so they
+   fall in one run: a row is new iff its columns R outside P are new
+   within its run. *)
+let unique ~stats op =
+  let strategy, prefix = unique_path op.schema op.order in
+  let arity = Schema.Relschema.arity op.schema in
+  let rest =
+    Array.of_list
+      (List.filter
+         (fun i -> not (Array.mem i prefix))
+         (List.init arity Fun.id))
+  in
+  let has_prefix = Array.length prefix > 0 in
+  let table =
+    if has_prefix && Array.length rest = 0 then None
+    else Some (Relation.Keyed.create rest)
+  in
+  Stats.record_dedup stats ~strategy ~state:(if Option.is_none table then 1 else 0);
+  (* the current run's first row; [||] before the first row (a row with a
+     nonempty prefix is never empty) *)
+  let run = ref [||] in
+  let starts_run r =
+    has_prefix
+    && (Array.length !run = 0
+        || begin
+          stats.Stats.comparisons <- stats.Stats.comparisons + 1;
+          Relation.compare_at prefix !run prefix r <> 0
+        end)
+  in
   let rec pull () =
     match op.next () with
     | None -> None
     | Some r ->
       stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + 1;
-      stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-      let count = Relation.Keyed.count !seen in
-      if Relation.Keyed.find_or_add !seen r < count then pull ()
-      else begin
-        stats.Stats.dedup_state_peak <-
-          max stats.Stats.dedup_state_peak (count + 1);
+      let fresh = starts_run r in
+      if fresh then run := r;
+      let keep =
+        match table with
+        | None -> fresh
+        | Some seen ->
+          if fresh then Relation.Keyed.clear seen;
+          stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+          let count = Relation.Keyed.count seen in
+          Relation.Keyed.find_or_add seen r = count
+          && begin
+            stats.Stats.dedup_state_peak <-
+              max stats.Stats.dedup_state_peak (count + 1);
+            true
+          end
+      in
+      if keep then begin
         stats.Stats.dedup_rows_out <- stats.Stats.dedup_rows_out + 1;
         Some r
       end
+      else pull ()
   in
-  {
-    op with
-    next = pull;
-    rewind =
-      (fun () ->
-        seen := Relation.Keyed.create all;
-        op.rewind ());
-    close =
-      (fun () ->
-        seen := Relation.Keyed.create all;
-        op.close ());
-  }
-
-let sorted_unique ~stats op =
-  if not (order_covers op.schema op.order) then None
-  else begin
-    Stats.record_dedup stats ~strategy:"sorted-unique" ~state:1;
-    let prev = ref None in
-    let rec pull () =
-      match op.next () with
-      | None -> None
-      | Some r ->
-        stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + 1;
-        let duplicate =
-          match !prev with
-          | Some p ->
-            stats.Stats.comparisons <- stats.Stats.comparisons + 1;
-            Relation.equal_rows p r
-          | None -> false
-        in
-        if duplicate then pull ()
-        else begin
-          prev := Some r;
-          stats.Stats.dedup_rows_out <- stats.Stats.dedup_rows_out + 1;
-          Some r
-        end
-    in
-    Some
-      {
-        op with
-        next = pull;
-        rewind =
-          (fun () ->
-            prev := None;
-            op.rewind ());
-        close =
-          (fun () ->
-            prev := None;
-            op.close ());
-      }
-  end
+  { op with next = pull }
 
 let elided_unique ~stats op =
   stats.Stats.distinct_elisions <- stats.Stats.distinct_elisions + 1;

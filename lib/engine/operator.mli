@@ -5,25 +5,22 @@
     lexicographically nondecreasing on (empty when nothing is known). Order
     provenance starts at {!Database.load_sorted} and flows through the
     pipeline — filters preserve it, projections keep the longest retained
-    prefix, products inherit the left input's order — so sort-aware
-    duplicate elimination ({!sorted_unique}) never has to trust an
-    unverified claim.
+    prefix, products inherit the left input's order — so duplicate
+    elimination ({!unique}) never has to trust an unverified claim.
 
     {2 Iterator contract}
 
     - [next ()] returns the next row, or [None] at end of stream. After
       [None], further calls keep returning [None].
-    - [rewind ()] restarts the stream from the beginning. Operators with
-      internal state (dedup tables, one-row windows) clear it. A rewound
-      blocking source replays its buffered result without recomputation.
     - [close ()] releases buffers; the stream then behaves as exhausted.
 
-    The three duplicate-elimination strategies are the executable form of
-    the paper's argument: {!hash_unique} pays O(distinct rows) state on any
-    input, {!sorted_unique} pays O(1) state but only when the order covers
-    the schema, and {!elided_unique} pays nothing — it is inserted only when
-    Algorithm 1 proved the stream duplicate-free, which is the caller's
-    certificate to provide, not this module's to check. *)
+    The two duplicate-elimination operators are the executable form of
+    the paper's argument: {!unique} pays state only for what the stream's
+    verified order leaves unordered — O(distinct rows) with no order, the
+    largest run's distinct count under a partial order, one row when the
+    order covers the schema — and {!elided_unique} pays nothing: it is
+    inserted only when Algorithm 1 proved the stream duplicate-free, which
+    is the caller's certificate to provide, not this module's to check. *)
 
 type t = {
   schema : Schema.Relschema.t;
@@ -31,14 +28,12 @@ type t = {
       (** attributes the stream is sorted on (outermost first); [[]] when
           unknown. Every listed attribute is a column of [schema]. *)
   next : unit -> Relation.row option;
-  rewind : unit -> unit;
   close : unit -> unit;
 }
 
 val schema : t -> Schema.Relschema.t
 val order : t -> Schema.Attr.t list
 val next : t -> Relation.row option
-val rewind : t -> unit
 val close : t -> unit
 
 (** {1 Sources} *)
@@ -171,23 +166,26 @@ val merge_join :
 
 (** {1 Duplicate elimination} *)
 
-(** Does the stream order guarantee that equal rows are adjacent? True when
-    the attribute set of some prefix of [order] equals the attribute set of
-    the schema — then two rows equal on every column are equal on the full
-    sort key and land in the same run. *)
-val order_covers : Schema.Relschema.t -> Schema.Attr.t list -> bool
+(** [unique_path schema order] is how {!unique} deduplicates a stream
+    with this schema and verified order: the positions P of [schema] whose
+    attribute lies in the longest prefix of [order] inside the schema
+    (ascending; a duplicated column contributes every copy), and the path
+    they select — ["hash-unique"] when P is empty, ["sorted-unique"] when
+    P is every position, ["prefix-unique"] otherwise. *)
+val unique_path : Schema.Relschema.t -> Schema.Attr.t list -> string * int array
 
-(** Hash-set duplicate elimination through a {!Relation.Keyed} table on
-    every column: works on any input, holds one row per distinct value
-    ({!Stats.t.dedup_state_peak} tracks the high-water mark). [strategy] overrides the name recorded in the stats narration
-    (the executor uses ["sorted-unique->hash"] for fallbacks). *)
-val hash_unique : ?strategy:string -> stats:Stats.t -> t -> t
-
-(** Sort-aware duplicate elimination with a one-row window, after ToyDBMS's
-    [OptimizedUnique]: sound only when {!order_covers} holds, hence returns
-    [None] otherwise and the caller chooses a fallback (recording it in
-    {!Stats.t.sorted_fallbacks}). *)
-val sorted_unique : stats:Stats.t -> t -> t option
+(** Streaming duplicate elimination, after ToyDBMS's [OptimizedUnique]:
+    rows equal on every column agree on P (see {!unique_path}) and the
+    stream is sorted on P, so duplicates fall in one run of rows sharing
+    P's values. The remaining positions R go through a {!Relation.Keyed}
+    table that a new run clears, so the state is the largest run's
+    distinct count. With P empty the table holds every column and is
+    never cleared (O(distinct rows)); with R empty there is no table — a
+    row is new iff it starts a run, one comparison per row. Output is the
+    first occurrence of each distinct row, in arrival order. Narrates the
+    path in {!Stats.t.dedup_strategy}; {!Stats.t.dedup_state_peak} is the
+    largest table count, or 1 when the order covers the schema. *)
+val unique : stats:Stats.t -> t -> t
 
 (** The paper's payoff: a pass-through standing where a DISTINCT used to
     be. Inserted only when Algorithm 1 answered YES — the engine trusts the

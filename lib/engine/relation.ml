@@ -138,6 +138,19 @@ module Keyed = struct
       id
     end
 
+  (* Frees each id's slot, found by probing from its hash (never stopping
+     at a free slot, since earlier ids' slots are already freed), so a
+     clear costs the keys held, not the slot capacity. *)
+  let clear t =
+    let mask = Array.length t.slots - 1 in
+    for id = 0 to t.count - 1 do
+      let rec free i =
+        if t.slots.(i) = id then t.slots.(i) <- -1 else free ((i + 1) land mask)
+      in
+      free (t.hashes.(id) land mask)
+    done;
+    t.count <- 0
+
   (* [Some (t, ids)] with [ids.(r)] the key id of [rows.(r)], or [None]
      as soon as more than [limit] distinct keys appear *)
   let number ~limit key rows =

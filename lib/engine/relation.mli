@@ -53,6 +53,10 @@ module Keyed : sig
       first row) with id [count t] when it is new. *)
   val find_or_add : t -> row -> int
 
+  (** Remove every key, keeping the capacity: ids restart at 0. Costs the
+      number of keys held, not the capacity. *)
+  val clear : t -> unit
+
   (** [find t probe_key probe] is the id of the key [probe] holds at
       positions [probe_key] (parallel to the table's key positions), or
       [-1] when no stored key equals it. *)

@@ -12,7 +12,6 @@ type t = {
   mutable dedup_rows_out : int;
   mutable dedup_state_peak : int;
   mutable distinct_elisions : int;
-  mutable sorted_fallbacks : int;
   mutable sort_elisions : int;
   mutable merge_joins : int;
   mutable join_build_rows : int;
@@ -41,7 +40,6 @@ let create () =
     dedup_rows_out = 0;
     dedup_state_peak = 0;
     distinct_elisions = 0;
-    sorted_fallbacks = 0;
     sort_elisions = 0;
     merge_joins = 0;
     join_build_rows = 0;
@@ -69,7 +67,6 @@ let reset t =
   t.dedup_rows_out <- 0;
   t.dedup_state_peak <- 0;
   t.distinct_elisions <- 0;
-  t.sorted_fallbacks <- 0;
   t.sort_elisions <- 0;
   t.merge_joins <- 0;
   t.join_build_rows <- 0;
@@ -96,7 +93,6 @@ let add t u =
   t.dedup_rows_out <- t.dedup_rows_out + u.dedup_rows_out;
   t.dedup_state_peak <- max t.dedup_state_peak u.dedup_state_peak;
   t.distinct_elisions <- t.distinct_elisions + u.distinct_elisions;
-  t.sorted_fallbacks <- t.sorted_fallbacks + u.sorted_fallbacks;
   t.sort_elisions <- t.sort_elisions + u.sort_elisions;
   t.merge_joins <- t.merge_joins + u.merge_joins;
   t.join_build_rows <- t.join_build_rows + u.join_build_rows;
@@ -139,7 +135,6 @@ let fields t =
     ("dedup_rows_out", t.dedup_rows_out);
     ("dedup_state_peak", t.dedup_state_peak);
     ("distinct_elisions", t.distinct_elisions);
-    ("sorted_fallbacks", t.sorted_fallbacks);
     ("sort_elisions", t.sort_elisions);
     ("merge_joins", t.merge_joins);
     ("join_build_rows", t.join_build_rows);
@@ -154,14 +149,14 @@ let pp ppf t =
   Format.fprintf ppf
     "scanned=%d output=%d pred_evals=%d pairs=%d sorts=%d sorted_rows=%d \
      comparisons=%d hash_probes=%d subqueries=%d dedup_in=%d dedup_out=%d \
-     dedup_state_peak=%d elisions=%d sorted_fallbacks=%d sort_elisions=%d \
+     dedup_state_peak=%d elisions=%d sort_elisions=%d \
      merge_joins=%d%s join_build=%d \
      join_probe=%d unique_builds=%d early_exits=%d%s \
      cache_hits=%d cache_misses=%d cache_evictions=%d"
     t.rows_scanned t.rows_output t.predicate_evals t.product_pairs t.sorts
     t.sorted_rows t.comparisons t.hash_probes t.subquery_evals
     t.dedup_rows_in t.dedup_rows_out t.dedup_state_peak t.distinct_elisions
-    t.sorted_fallbacks t.sort_elisions t.merge_joins
+    t.sort_elisions t.merge_joins
     (if t.dedup_strategy = "" then ""
      else Printf.sprintf " dedup_strategy=%s" t.dedup_strategy)
     t.join_build_rows t.join_probe_rows t.unique_builds t.probe_early_exits

@@ -3,12 +3,13 @@
     duplicate elimination, or the inner-loop rows saved by an early-exit
     [EXISTS] strategy). The [dedup_*] family records what each
     duplicate-elimination strategy paid: rows in/out, the peak size of the
-    dedup state (|distinct rows| for hash, 1 for sort-aware, 0 when the
-    operator was elided), and which strategy actually ran. The [join_*]
-    family does the same for hash joins: rows drained into build tables,
-    rows streamed through probes, how many builds ran in the one-flat-row
-    unique mode, and how many probes that mode answered without a bucket
-    walk. *)
+    dedup state (|distinct rows| with no order, the largest run's distinct
+    count under a partial order prefix, 1 when the order covers the
+    projection, 0 when the operator was elided), and which strategy
+    actually ran. The [join_*] family does the same for hash joins: rows
+    drained into build tables, rows streamed through probes, how many
+    builds ran in the one-flat-row unique mode, and how many probes that
+    mode answered without a bucket walk. *)
 
 type t = {
   mutable rows_scanned : int;       (** rows read from base tables *)
@@ -24,9 +25,6 @@ type t = {
   mutable dedup_rows_out : int;     (** rows surviving duplicate elimination *)
   mutable dedup_state_peak : int;   (** max rows held by any dedup operator *)
   mutable distinct_elisions : int;  (** Elided_unique pass-throughs inserted *)
-  mutable sorted_fallbacks : int;
-      (** Sorted_unique requests degraded to hash because the input order
-          did not cover the projection *)
   mutable sort_elisions : int;
       (** ORDER BY sorts elided under an [Optimizer.Order_plan]
           certificate: the stream's verified order already implied the
@@ -48,7 +46,7 @@ type t = {
   mutable cache_evictions : int;    (** analysis-cache LRU evictions *)
   mutable dedup_strategy : string;
       (** comma-joined names of the dedup strategies that ran, in plan
-          order (e.g. ["elided-unique"], ["sorted-unique->hash"]); [""]
+          order (e.g. ["elided-unique"], ["prefix-unique"]); [""]
           when the plan eliminated no duplicates *)
   mutable join_strategy : string;
       (** comma-joined names of the join strategies compiled, in plan order

@@ -3,7 +3,7 @@ type choice = {
   name : string;
   reason : string;
   alg1_yes : bool;
-  order_covers : bool;
+  covered : int;
 }
 
 let applicable (q : Sql.Ast.query) =
@@ -19,13 +19,26 @@ let choose ?cache ?(trace = Trace.disabled) ?database cat (q : Sql.Ast.query) =
        with Fd.Derive.Unknown_table _ | Fd.Derive.Unknown_column _ -> false)
     | Sql.Ast.Spec _ | Sql.Ast.Setop _ -> false
   in
-  let order_covers =
-    (not alg1_yes)
-    && applicable q
-    &&
+  (* the path [Operator.unique] will take, from the stream it will read *)
+  let stream =
     match database with
-    | Some db -> Engine.Exec.sorted_covers db q
-    | None -> false
+    | Some db when applicable q && not alg1_yes -> Engine.Exec.distinct_stream db q
+    | Some _ | None -> None
+  in
+  let path, covered, coverage =
+    match stream with
+    | Some (schema, order) ->
+      let path, prefix = Engine.Operator.unique_path schema order in
+      let arity = Schema.Relschema.arity schema in
+      ( path,
+        Array.length prefix,
+        Printf.sprintf "order covers %d of %d columns" (Array.length prefix)
+          arity )
+    | None ->
+      ( "hash-unique",
+        0,
+        if Option.is_none database then "no database given"
+        else "order not probed" )
   in
   let c =
     if not (applicable q) then
@@ -34,7 +47,7 @@ let choose ?cache ?(trace = Trace.disabled) ?database cat (q : Sql.Ast.query) =
         name = "none";
         reason = "no top-level DISTINCT to plan (strategy unused)";
         alg1_yes = false;
-        order_covers = false;
+        covered = 0;
       }
     else if alg1_yes then
       {
@@ -44,27 +57,27 @@ let choose ?cache ?(trace = Trace.disabled) ?database cat (q : Sql.Ast.query) =
           "Algorithm 1 answered YES: the projection is duplicate-free, the \
            operator is a pass-through";
         alg1_yes;
-        order_covers = false;
-      }
-    else if order_covers then
-      {
-        impl = Engine.Exec.Stream_sorted;
-        name = "sorted-unique";
-        reason =
-          "verified physical order covers the projection: one-row dedup \
-           state suffices";
-        alg1_yes;
-        order_covers;
+        covered = 0;
       }
     else
       {
         impl = Engine.Exec.Stream_hash;
-        name = "hash-unique";
+        name = path;
         reason =
-          "no duplicate-free proof and no covering order: hash dedup is the \
-           safe general strategy";
+          (match stream with
+           | None ->
+             "no duplicate-free proof and no verified order consulted: hash \
+              dedup over every column"
+           | Some _ ->
+             Printf.sprintf "no duplicate-free proof; %s: %s" coverage
+               (match path with
+                | "sorted-unique" -> "a row is new iff it starts a run"
+                | "prefix-unique" ->
+                  "the uncovered columns are hashed, the table cleared at \
+                   each new run of the covered ones"
+                | _ -> "every column is hashed"));
         alg1_yes;
-        order_covers;
+        covered;
       }
   in
   Trace.emitf trace (fun () ->
@@ -75,8 +88,6 @@ let choose ?cache ?(trace = Trace.disabled) ?database cat (q : Sql.Ast.query) =
         ~facts:
           [ ("strategy", c.name);
             ("alg1", if c.alg1_yes then "YES" else "no");
-            ("order-covers", if c.order_covers then "yes" else "no");
-            ( "order-known",
-              if database = None then "no database given" else "consulted" ) ]
+            ("order-prefix", coverage) ]
         c.reason);
   c

@@ -34,27 +34,6 @@ let leaf_orders db cat (spec : Sql.Ast.query_spec) =
          | Some _ | None -> [])
        spec.Sql.Ast.from)
 
-(* Can [pairs] of (probe attr, build attr) be arranged to follow both
-   verified order prefixes pairwise? The same walk [Engine.Exec] re-runs
-   before trusting a [js_merge] flag. *)
-let arrangeable probe_order build_order pairs =
-  let rec go po bo remaining =
-    match remaining with
-    | [] -> true
-    | _ ->
-      (match (po, bo) with
-       | pa :: ra, pb :: rb ->
-         (match
-            List.find_opt
-              (fun (x, y) -> Attr.equal x pa && Attr.equal y pb)
-              remaining
-          with
-          | Some e -> go ra rb (List.filter (fun e' -> e' != e) remaining)
-          | None -> false)
-       | _ -> false)
-  in
-  go probe_order build_order pairs
-
 (* Upgrade a join plan with merge-join certificates: a step whose
    cross-leaf equality edges can follow the probe stream's and the build
    leaf's verified order prefixes runs as a streaming
@@ -114,7 +93,9 @@ let certify_merge db cat (spec : Sql.Ast.query_spec)
               edges
           in
           let merge =
-            pairs <> [] && arrangeable probe_order orders.(j) pairs
+            pairs <> []
+            && Engine.Exec.arrange_for_merge probe_order orders.(j) pairs
+               <> None
           in
           (jc :: in_set, { st with Engine.Exec.js_merge = merge } :: acc))
         ([ corrs.(first) ], [])

@@ -18,9 +18,10 @@
     - {b merge joins} — a join step whose cross-leaf equality edges can
       be arranged to follow both inputs' verified order prefixes is
       flagged [js_merge]: the streaming [Operator.merge_join] replaces
-      the hash build. The engine independently re-derives the key
-      arrangement from verified operator orders before acting, so a
-      stale flag degrades to a hash join, never to a wrong answer.
+      the hash build. Both this module and the engine run the one
+      arrangement walk, {!Engine.Exec.arrange_for_merge}; the engine
+      re-runs it on verified operator orders before acting, so a stale
+      flag degrades to a hash join, never to a wrong answer.
 
     Costing uses {!Cost.sort} (the [n log2 n] the elision removes) and
     {!Cost.merge_step}; the decision lands in the explain report's

@@ -363,21 +363,29 @@ let int_schema ?rel names =
            nullable = false })
        names)
 
-let test_order_covers () =
+let ints_of r =
+  Array.to_list (Array.map (function Value.Int i -> i | _ -> -999) r)
+
+let test_unique_path () =
   let s_ab = int_schema [ "A"; "B" ] in
   let s_a = int_schema [ "A" ] in
-  let covers s o = Operator.order_covers s o in
-  Alcotest.(check bool) "[A;B] covers {A,B}" true
-    (covers s_ab [ attr "A"; attr "B" ]);
-  Alcotest.(check bool) "[B;A] covers {A,B}" true
-    (covers s_ab [ attr "B"; attr "A" ]);
-  Alcotest.(check bool) "[A] does not cover {A,B}" false
-    (covers s_ab [ attr "A" ]);
-  Alcotest.(check bool) "empty order covers nothing" false (covers s_a []);
-  Alcotest.(check bool) "prefix [A] of [A;B] covers {A}" true
-    (covers s_a [ attr "A"; attr "B" ]);
-  Alcotest.(check bool) "foreign attr breaks the prefix" false
-    (covers s_a [ attr "Z"; attr "A" ])
+  let path s o = Operator.unique_path s o in
+  let check msg expect got =
+    Alcotest.(check (pair string (array int))) msg expect got
+  in
+  check "[A;B] covers {A,B}" ("sorted-unique", [| 0; 1 |])
+    (path s_ab [ attr "A"; attr "B" ]);
+  check "[B;A] covers {A,B}" ("sorted-unique", [| 0; 1 |])
+    (path s_ab [ attr "B"; attr "A" ]);
+  check "[A] covers A of {A,B}" ("prefix-unique", [| 0 |])
+    (path s_ab [ attr "A" ]);
+  check "[B] covers B of {A,B}" ("prefix-unique", [| 1 |])
+    (path s_ab [ attr "B" ]);
+  check "empty order covers nothing" ("hash-unique", [||]) (path s_a []);
+  check "prefix [A] of [A;B] covers {A}" ("sorted-unique", [| 0 |])
+    (path s_a [ attr "A"; attr "B" ]);
+  check "foreign attr breaks the prefix" ("hash-unique", [||])
+    (path s_a [ attr "Z"; attr "A" ])
 
 let test_product_order_inherits_left () =
   let l =
@@ -392,38 +400,44 @@ let test_product_order_inherits_left () =
     (List.map (fun (a : Attr.t) -> a.Attr.name) (Operator.order p));
   Alcotest.(check int) "all pairs produced" 4 (List.length (Operator.to_rows p))
 
-let test_sorted_unique_refuses_uncovered () =
-  let stats = Stats.create () in
-  let op =
-    Operator.of_rows ~order:[ attr "A" ] (int_schema [ "A"; "B" ])
-      [ [| v_int 1; v_int 1 |] ]
+let test_unique_hashes_uncovered_order () =
+  let rows = [ [| v_int 1; v_int 1 |]; [| v_int 1; v_int 2 |];
+               [| v_int 1; v_int 1 |]; [| v_int 2; v_int 1 |] ] in
+  let run order =
+    let stats = Stats.create () in
+    let out =
+      Operator.to_rows
+        (Operator.unique ~stats
+           (Operator.of_rows ~order (int_schema [ "A"; "B" ]) rows))
+    in
+    (List.map ints_of out, stats.Stats.dedup_strategy,
+     stats.Stats.dedup_state_peak)
   in
-  (match Operator.sorted_unique ~stats op with
-  | None -> ()
-  | Some _ -> Alcotest.fail "sorted_unique accepted a non-covering order");
-  let no_order = Operator.of_rows (int_schema [ "A" ]) [ [| v_int 1 |] ] in
-  match Operator.sorted_unique ~stats no_order with
-  | None -> ()
-  | Some _ -> Alcotest.fail "sorted_unique accepted an unknown order"
+  let result = Alcotest.(triple (list (list int)) string int) in
+  Alcotest.check result "partial order: B hashed per run of A"
+    ([ [ 1; 1 ]; [ 1; 2 ]; [ 2; 1 ] ], "prefix-unique", 2)
+    (run [ attr "A" ]);
+  Alcotest.check result "no order: every column hashed"
+    ([ [ 1; 1 ]; [ 1; 2 ]; [ 2; 1 ] ], "hash-unique", 3)
+    (run [])
 
-let test_sorted_unique_one_row_state () =
+let test_unique_one_row_state () =
   let stats = Stats.create () in
   let op =
     Operator.of_rows ~order:[ attr "A" ] (int_schema [ "A" ])
       (List.map (fun i -> [| v_int i |]) [ 1; 1; 2; 2; 2; 3 ])
   in
-  match Operator.sorted_unique ~stats op with
-  | None -> Alcotest.fail "covering order refused"
-  | Some u ->
-    let drained = Operator.to_rows u in
-    Alcotest.(check (list (list int))) "adjacent duplicates dropped"
-      [ [ 1 ]; [ 2 ]; [ 3 ] ]
-      (List.map
-         (fun r -> Array.to_list (Array.map (function Value.Int i -> i | _ -> -1) r))
-         drained);
-    Alcotest.(check int) "one row of state" 1 stats.Stats.dedup_state_peak;
-    Alcotest.(check int) "rows in" 6 stats.Stats.dedup_rows_in;
-    Alcotest.(check int) "rows out" 3 stats.Stats.dedup_rows_out
+  let drained = Operator.to_rows (Operator.unique ~stats op) in
+  Alcotest.(check (list (list int))) "adjacent duplicates dropped"
+    [ [ 1 ]; [ 2 ]; [ 3 ] ] (List.map ints_of drained);
+  Alcotest.(check string) "covered path" "sorted-unique"
+    stats.Stats.dedup_strategy;
+  Alcotest.(check int) "one row of state" 1 stats.Stats.dedup_state_peak;
+  Alcotest.(check int) "no hash probes" 0 stats.Stats.hash_probes;
+  Alcotest.(check int) "one comparison per later row" 5
+    stats.Stats.comparisons;
+  Alcotest.(check int) "rows in" 6 stats.Stats.dedup_rows_in;
+  Alcotest.(check int) "rows out" 3 stats.Stats.dedup_rows_out
 
 let test_elided_unique_is_pass_through () =
   let stats = Stats.create () in
@@ -435,32 +449,7 @@ let test_elided_unique_is_pass_through () =
   Alcotest.(check int) "one elision recorded" 1 stats.Stats.distinct_elisions;
   Alcotest.(check int) "no state held" 0 stats.Stats.dedup_state_peak
 
-let test_hash_unique_rewind () =
-  let stats = Stats.create () in
-  let u =
-    Operator.hash_unique ~stats
-      (Operator.of_rows (int_schema [ "A" ])
-         [ [| v_int 1 |]; [| v_int 1 |]; [| v_int 2 |] ])
-  in
-  (* drain by hand: to_rows would close the operator, and rewind after
-     close is not part of the contract *)
-  let drain op =
-    let n = ref 0 in
-    let rec go () =
-      match Operator.next op with Some _ -> incr n; go () | None -> ()
-    in
-    go ();
-    !n
-  in
-  Alcotest.(check int) "first drain" 2 (drain u);
-  Operator.rewind u;
-  Alcotest.(check int) "drain after rewind" 2 (drain u);
-  Operator.close u
-
 (* ---- streaming join operators ---- *)
-
-let ints_of r =
-  Array.to_list (Array.map (function Value.Int i -> i | _ -> -999) r)
 
 let test_operator_hash_join () =
   let stats = Stats.create () in
@@ -509,33 +498,6 @@ let test_operator_hash_join_unique () =
   Alcotest.(check int) "unique build recorded" 1 stats.Stats.unique_builds;
   Alcotest.(check int) "early exit on every matching probe" 3
     stats.Stats.probe_early_exits
-
-let test_operator_hash_join_rewind () =
-  let stats = Stats.create () in
-  let probe =
-    Operator.of_rows (int_schema [ "A" ]) [ [| v_int 1 |]; [| v_int 2 |] ]
-  in
-  let build =
-    Operator.of_rows (int_schema ~rel:"U" [ "K" ])
-      [ [| v_int 1 |]; [| v_int 2 |] ]
-  in
-  let j =
-    Operator.hash_join ~stats ~probe_key:[ 0 ] ~build_key:[ 0 ] probe build
-  in
-  let drain op =
-    let n = ref 0 in
-    let rec go () =
-      match Operator.next op with Some _ -> incr n; go () | None -> ()
-    in
-    go ();
-    !n
-  in
-  Alcotest.(check int) "first drain" 2 (drain j);
-  Operator.rewind j;
-  Alcotest.(check int) "drain after rewind" 2 (drain j);
-  Alcotest.(check int) "build table kept across rewind" 2
-    stats.Stats.join_build_rows;
-  Operator.close j
 
 let test_operator_semi_join () =
   let mk_probe () =
@@ -807,22 +769,11 @@ let prop_sort_matches_stable_sort =
       let got = Operator.to_rows (sorted_by_operator width keys rows) in
       List.length got = List.length expected && List.for_all2 ( == ) got expected)
 
-let test_sort_rewind_and_close () =
+let test_sort_close () =
   let rows = List.init 40 (fun i -> [| v_int i; v_int (i mod 3) |]) in
   let op = sorted_by_operator 1 [ 1 ] rows in
-  let drain () =
-    let rec go acc =
-      match Operator.next op with Some r -> go (r :: acc) | None -> List.rev acc
-    in
-    go []
-  in
-  let first = drain () in
-  Alcotest.(check (list (list int))) "sorted on K1, stable"
-    (List.map ints_of (List.stable_sort (compare_on [ 1 ]) rows))
-    (List.map ints_of first);
-  Operator.rewind op;
-  Alcotest.(check bool) "rewind replays the same list" true
-    (List.for_all2 ( == ) first (drain ()));
+  Alcotest.(check (option (list int))) "first row sorted on K1"
+    (Some [ 0; 0 ]) (Option.map ints_of (Operator.next op));
   Operator.close op;
   Alcotest.(check bool) "next after close" true (Operator.next op = None)
 
@@ -1252,39 +1203,112 @@ let test_strategies_agree_with_naive () =
               let r = Exec.run_query ~config db ~hosts dq in
               Alcotest.(check bool) "strategy agrees with naive dedup" true
                 (Relation.equal_bags expect r))
-            [ Exec.Sort_distinct; Exec.Stream_hash; Exec.Stream_sorted ])
+            [ Exec.Sort_distinct; Exec.Stream_hash ])
         c.Difftest.Case.instances
   done
 
-let test_stream_sorted_fallback () =
+(* The planner narrates the path [Operator.unique] takes, and the run
+   takes it: the key order covers none of the GRP projection, the group
+   order all of it. *)
+let test_narrated_path_runs () =
+  let cat = Workload.Datagen.catalog in
   let q = Sql.Parser.parse_query Workload.Datagen.group_query in
-  (* key order does not cover the GRP projection: fall back to hash *)
-  let db = Workload.Datagen.bulk_db ~rows:2000 () in
-  let cfg =
-    { (Exec.default_config ()) with Exec.distinct_impl = Exec.Stream_sorted }
+  let run db =
+    let choice = Optimizer.Distinct_plan.choose ~database:db cat q in
+    let cfg =
+      { (Exec.default_config ()) with
+        Exec.distinct_impl = choice.Optimizer.Distinct_plan.impl }
+    in
+    let r = Exec.run_query ~config:cfg db ~hosts:[] q in
+    Alcotest.(check string) "narrated path ran"
+      choice.Optimizer.Distinct_plan.name cfg.Exec.stats.Stats.dedup_strategy;
+    (choice, r, cfg.Exec.stats)
   in
-  let r = Exec.run_query ~config:cfg db ~hosts:[] q in
-  Alcotest.(check int) "fell back exactly once" 1
-    cfg.Exec.stats.Stats.sorted_fallbacks;
-  Alcotest.(check string) "fallback strategy named" "sorted-unique->hash"
-    cfg.Exec.stats.Stats.dedup_strategy;
+  let db = Workload.Datagen.bulk_db ~rows:2000 () in
   let baseline = Exec.run_query db ~hosts:[] q in
-  Alcotest.(check bool) "fallback result correct" true
+  let choice, r, stats = run db in
+  Alcotest.(check string) "uncovered order hashes" "hash-unique"
+    choice.Optimizer.Distinct_plan.name;
+  Alcotest.(check int) "no column covered" 0
+    choice.Optimizer.Distinct_plan.covered;
+  Alcotest.(check int) "state peak is the distinct count"
+    (Relation.cardinality baseline) stats.Stats.dedup_state_peak;
+  Alcotest.(check bool) "uncovered result correct" true
     (Relation.equal_bags baseline r);
-  (* group order covers it: no fallback, one row of state *)
   let dbg =
     Workload.Datagen.bulk_db ~rows:2000 ~order:Workload.Datagen.Group_order ()
   in
-  let cfg2 =
-    { (Exec.default_config ()) with Exec.distinct_impl = Exec.Stream_sorted }
-  in
-  let r2 = Exec.run_query ~config:cfg2 dbg ~hosts:[] q in
-  Alcotest.(check int) "no fallback on covering order" 0
-    cfg2.Exec.stats.Stats.sorted_fallbacks;
-  Alcotest.(check int) "one row of state" 1
-    cfg2.Exec.stats.Stats.dedup_state_peak;
+  let choice, r, stats = run dbg in
+  Alcotest.(check string) "covered order compares" "sorted-unique"
+    choice.Optimizer.Distinct_plan.name;
+  Alcotest.(check int) "the one column covered" 1
+    choice.Optimizer.Distinct_plan.covered;
+  Alcotest.(check int) "one row of state" 1 stats.Stats.dedup_state_peak;
   Alcotest.(check bool) "covered result correct" true
-    (Relation.equal_bags baseline r2)
+    (Relation.equal_bags baseline r)
+
+(* [Operator.unique] over rows sorted on a random prefix of their columns,
+   mixing values that compare equal across types (Int n and Float n,
+   -0.0 and 0.0, the neighbours of 2^53) with NULL, NaN and strings. Rows
+   are drawn from a small pool so that runs hold duplicates. *)
+let unique_case_gen =
+  let open QCheck2.Gen in
+  let p53 = 1 lsl 53 in
+  let value =
+    oneofl
+      [ Value.Null; Value.Float Float.nan; Value.Float 0.; Value.Float (-0.);
+        Value.Int 0; Value.Int 1; Value.Float 1.; Value.Int p53;
+        Value.Int (p53 + 1); Value.Float 0x1p53; Value.String "x";
+        Value.String "y" ]
+  in
+  let* arity = int_range 1 3 in
+  let* pool = list_size (int_range 1 6) (array_size (return arity) value) in
+  let* rows = list_size (int_range 1 40) (oneofl pool) in
+  let* columns = shuffle_l (List.init arity Fun.id) in
+  let* k = int_range 0 arity in
+  return (arity, List.filteri (fun i _ -> i < k) columns, rows)
+
+let prop_unique_matches_first_occurrence =
+  QCheck2.Test.make ~name:"unique: first occurrences, peak = largest run"
+    ~count:1000 unique_case_gen
+    ~print:(fun (_, key, rows) ->
+      Printf.sprintf "sorted on %s: %s"
+        (String.concat "," (List.map string_of_int key))
+        (String.concat "; "
+           (List.map
+              (fun r ->
+                String.concat "," (Array.to_list (Array.map Value.to_string r)))
+              rows)))
+    (fun (arity, key, rows) ->
+      let schema = int_schema (List.init arity (Printf.sprintf "C%d")) in
+      let key_arr = Array.of_list key in
+      let sorted = Array.of_list rows in
+      Relation.sort_rows ~key:key_arr sorted;
+      let sorted = Array.to_list sorted in
+      let order = List.map (List.nth (Relschema.attrs schema)) key in
+      let stats = Stats.create () in
+      let got =
+        Operator.to_rows
+          (Operator.unique ~stats (Operator.of_rows ~order schema sorted))
+      in
+      (* runs: maximal stretches of rows equal on the sort key *)
+      let rec runs = function
+        | [] -> []
+        | r :: rest ->
+          (match runs rest with
+           | (s :: _ as run) :: more
+             when Relation.compare_at key_arr r key_arr s = 0 ->
+             (r :: run) :: more
+           | more -> [ r ] :: more)
+      in
+      let largest_run =
+        List.fold_left
+          (fun m run -> max m (List.length (naive_distinct run)))
+          0 (runs sorted)
+      in
+      List.length got = List.length (naive_distinct sorted)
+      && List.for_all2 ( == ) got (naive_distinct sorted)
+      && stats.Stats.dedup_state_peak = largest_run)
 
 (* The planner may pick the elided pass-through only with an Algorithm 1
    certificate: checked deterministically on the key-covered bulk workload,
@@ -1434,23 +1458,19 @@ let () =
         ] );
       ( "operator",
         [
-          Alcotest.test_case "order_covers" `Quick test_order_covers;
+          Alcotest.test_case "unique_path" `Quick test_unique_path;
           Alcotest.test_case "product inherits left order" `Quick
             test_product_order_inherits_left;
-          Alcotest.test_case "sorted_unique refuses uncovered order" `Quick
-            test_sorted_unique_refuses_uncovered;
-          Alcotest.test_case "sorted_unique holds one row of state" `Quick
-            test_sorted_unique_one_row_state;
+          Alcotest.test_case "unique hashes what the order leaves" `Quick
+            test_unique_hashes_uncovered_order;
+          Alcotest.test_case "unique holds one row on a covering order" `Quick
+            test_unique_one_row_state;
           Alcotest.test_case "elided_unique is a pass-through" `Quick
             test_elided_unique_is_pass_through;
-          Alcotest.test_case "hash_unique rewinds cleanly" `Quick
-            test_hash_unique_rewind;
           Alcotest.test_case "hash_join streams buckets in build order" `Quick
             test_operator_hash_join;
           Alcotest.test_case "hash_join unique build early-exits" `Quick
             test_operator_hash_join_unique;
-          Alcotest.test_case "hash_join rewinds keeping its table" `Quick
-            test_operator_hash_join_rewind;
           Alcotest.test_case "semi_join and anti variants" `Quick
             test_operator_semi_join;
           Alcotest.test_case "hash_join replays interleaved keys in build order"
@@ -1461,8 +1481,7 @@ let () =
           [ prop_exact_numeric_order; prop_keyed_matches_sort_reference ] );
       ( "sort",
         [
-          Alcotest.test_case "rewind replays, close ends" `Quick
-            test_sort_rewind_and_close;
+          Alcotest.test_case "close ends the stream" `Quick test_sort_close;
           Alcotest.test_case "comparisons follow the distinct keys" `Quick
             test_sort_counts;
           QCheck_alcotest.to_alcotest prop_sort_matches_stable_sort;
@@ -1489,9 +1508,10 @@ let () =
         [
           Alcotest.test_case "strategies agree with naive dedup" `Quick
             test_strategies_agree_with_naive;
-          Alcotest.test_case "stream-sorted falls back when uncovered" `Quick
-            test_stream_sorted_fallback;
+          Alcotest.test_case "the narrated dedup path runs" `Quick
+            test_narrated_path_runs;
           Alcotest.test_case "elision requires an Algorithm 1 certificate"
             `Quick test_elided_only_when_certified;
+          QCheck_alcotest.to_alcotest prop_unique_matches_first_occurrence;
         ] );
     ]

@@ -195,9 +195,9 @@ let test_product_keeps_left_order () =
      | a :: _ -> Attr.equal a (Attr.make ~rel:"L" ~name:"K")
      | [] -> false)
 
-let test_order_covers_duplicate_projection () =
-  (* Operator.order_covers over a schema with duplicate attribute names:
-     a prefix of the order equal to the full attribute set covers *)
+let test_unique_path_duplicate_projection () =
+  (* Operator.unique_path: the prefix positions are every schema position
+     whose attribute lies in the order prefix *)
   let schema =
     Schema.Relschema.make
       [ { Schema.Relschema.attr = attr "T.K"; ctype = Schema.Relschema.Tint;
@@ -205,10 +205,23 @@ let test_order_covers_duplicate_projection () =
         { Schema.Relschema.attr = attr "T.V"; ctype = Schema.Relschema.Tint;
           nullable = true } ]
   in
-  Alcotest.(check bool) "covering prefix" true
-    (Operator.order_covers schema (attrs [ "T.K"; "T.V" ]));
-  Alcotest.(check bool) "short prefix does not cover" false
-    (Operator.order_covers schema (attrs [ "T.K" ]))
+  let path order = Operator.unique_path schema (attrs order) in
+  Alcotest.(check (pair string (array int))) "covering prefix"
+    ("sorted-unique", [| 0; 1 |]) (path [ "T.K"; "T.V" ]);
+  Alcotest.(check (pair string (array int))) "short prefix covers one"
+    ("prefix-unique", [| 0 |]) (path [ "T.K" ]);
+  (* a projection listing K twice: the stream arriving at the DISTINCT
+     carries both copies in its order, so both positions are covered *)
+  let db = bulk_db 20 in
+  match
+    Exec.distinct_stream db
+      (Sql.Parser.parse_query "SELECT DISTINCT B.K, B.GRP, B.K FROM BULK B")
+  with
+  | None -> Alcotest.fail "no DISTINCT stream"
+  | Some (schema, order) ->
+    Alcotest.(check (pair string (array int))) "both K copies covered"
+      ("prefix-unique", [| 0; 2 |])
+      (Operator.unique_path schema order)
 
 (* ---- NULLS FIRST: one comparator everywhere ---- *)
 
@@ -334,8 +347,8 @@ let () =
             test_filter_preserves_order;
           Alcotest.test_case "product keeps left order" `Quick
             test_product_keeps_left_order;
-          Alcotest.test_case "order_covers on duplicates" `Quick
-            test_order_covers_duplicate_projection;
+          Alcotest.test_case "unique_path on duplicates" `Quick
+            test_unique_path_duplicate_projection;
         ] );
       ( "nulls-first",
         [
