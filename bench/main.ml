@@ -1060,9 +1060,9 @@ let experiment_normalize () =
    of the examples/workload.sql statements (alpha-equivalent, so the
    verdict cache still earns intra-pass hits) with per-replica random
    queries whose fingerprints are distinct (sustained miss + insert
-   traffic). Each pass runs as one cache epoch — the work-stealing pool
-   reads frozen shared tables lock-free and per-domain deltas merge at
-   the barrier. Speedup is bounded by the machine: the JSON records
+   traffic). Each pass runs as one cache epoch — the pool's domains read
+   frozen shared tables lock-free and per-domain deltas merge at the
+   barrier. Speedup is bounded by the machine: the JSON records
    Domain.recommended_domain_count so a single-core reading (speedup ~1x,
    pure pool overhead) is distinguishable from a multi-core one. *)
 let experiment_parallel () =
@@ -1308,17 +1308,13 @@ let experiment_serve () =
     let traj = ref [] in
     let cold = run_phase pool cache hist traj "cold" cold_items in
     let warm = run_phase pool cache hist traj "warm" warm_items in
-    ( cold,
-      warm,
-      Engine.Histogram.summary hist,
-      List.rev !traj,
-      Parallel.Pool.stats pool )
+    (cold, warm, Engine.Histogram.summary hist, List.rev !traj)
   in
   let levels = [ 1; 2; 4 ] in
   let results = List.map (fun jobs -> (jobs, run_level jobs)) levels in
-  let total_seconds (_, (_, c_s, _), (_, w_s, _), _, _, _) = c_s +. w_s in
+  let total_seconds (_, (_, c_s, _), (_, w_s, _), _, _) = c_s +. w_s in
   let flat =
-    List.map (fun (jobs, (c, w, h, tr, ps)) -> (jobs, c, w, h, tr, ps)) results
+    List.map (fun (jobs, (c, w, h, tr)) -> (jobs, c, w, h, tr)) results
   in
   let base_s =
     match flat with r :: _ -> total_seconds r | [] -> nan
@@ -1327,18 +1323,17 @@ let experiment_serve () =
   Printf.printf
     "%d cold (distinct) + %d warm (replayed) requests per level, batch %d\n\n"
     cold_n warm_n batch_size;
-  Printf.printf "%6s | %12s %12s | %8s | %12s %12s\n" "jobs" "cold q/s"
-    "warm q/s" "speedup" "batch p95 us" "steals";
+  Printf.printf "%6s | %12s %12s | %8s | %12s\n" "jobs" "cold q/s"
+    "warm q/s" "speedup" "batch p95 us";
   List.iter
-    (fun ((jobs, (_, _, c_qps), (_, _, w_qps), h, _, ps) as r) ->
-      Printf.printf "%6d | %12.0f %12.0f | %7.2fx | %12.1f %12d\n" jobs c_qps
-        w_qps (speedup r) h.Engine.Histogram.s_p95_us
-        ps.Parallel.Pool.steals)
+    (fun ((jobs, (_, _, c_qps), (_, _, w_qps), h, _) as r) ->
+      Printf.printf "%6d | %12.0f %12.0f | %7.2fx | %12.1f\n" jobs c_qps
+        w_qps (speedup r) h.Engine.Histogram.s_p95_us)
     flat;
   let cores = Domain.recommended_domain_count () in
   let speedup_ok =
     List.for_all
-      (fun ((jobs, _, _, _, _, _) as r) -> jobs = 1 || speedup r > 1.0)
+      (fun ((jobs, _, _, _, _) as r) -> jobs = 1 || speedup r > 1.0)
       flat
   in
   Printf.printf "\nrecommended_domain_count: %d%s\n" cores
@@ -1354,7 +1349,7 @@ let experiment_serve () =
     else begin
       let seq_per_query_us =
         match flat with
-        | (_, (cn, cs, _), (wn, ws, _), _, _, _) :: _ ->
+        | (_, (cn, cs, _), (wn, ws, _), _, _) :: _ ->
           (cs +. ws) *. 1e6 /. float_of_int (cn + wn)
         | [] -> nan
       in
@@ -1394,7 +1389,7 @@ let experiment_serve () =
           ("domain_spawn_join_ms_jobs4", Trace.Json.Float spawn_ms) ]
     end
   in
-  let level_json ((jobs, (cn, cs, cq), (wn, ws, wq), h, tr, ps) as r) =
+  let level_json ((jobs, (cn, cs, cq), (wn, ws, wq), h, tr) as r) =
     let phase_json n s q =
       Trace.Json.Obj
         [ ("queries", Trace.Json.Int n);
@@ -1411,12 +1406,6 @@ let experiment_serve () =
             (List.map
                (fun (k, v) -> (k, Trace.Json.Float v))
                (Engine.Histogram.summary_fields h)) );
-        ( "pool",
-          Trace.Json.Obj
-            [ ("tasks", Trace.Json.Int ps.Parallel.Pool.tasks);
-              ("steals", Trace.Json.Int ps.Parallel.Pool.steals);
-              ("stolen_tasks", Trace.Json.Int ps.Parallel.Pool.stolen_tasks) ]
-        );
         ("trajectory", Trace.Json.List tr) ]
   in
   if cores >= 2 && scale >= 50_000 && not speedup_ok then

@@ -573,7 +573,7 @@ let serve_cmd =
              (--socket), one query per line, through one long-lived \
              shared analysis cache. Blank lines and -- comments are \
              skipped; 'stats' (or .stats) reports served/rejected \
-             counts, pool steal statistics, cache counters, and \
+             counts, cache counters, and \
              per-class p50/p95/p99 latency; 'shutdown' (or SIGTERM, or \
              stdin EOF when no socket is configured) drains in-flight \
              requests and exits, printing the cache counters once more. \

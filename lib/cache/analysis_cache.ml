@@ -88,6 +88,7 @@ module Fingerprint = struct
      subqueries. *)
   type scope = {
     sc_from : Ast.from_item list;
+    sc_resolve : Attr.t -> Attr.t; (* built once per scope *)
     sc_renames : (string * string) list; (* uppercase old name -> new name *)
   }
 
@@ -116,7 +117,7 @@ module Fingerprint = struct
     let rec go = function
       | [] -> raise Fallback
       | scope :: outer -> (
-        match Fd.Derive.resolver cat scope.sc_from a with
+        match scope.sc_resolve a with
         | r -> (r, scope)
         | exception Fd.Derive.Unknown_column _ ->
           if scope_binds cat scope a then raise Fallback else go outer
@@ -143,7 +144,17 @@ module Fingerprint = struct
             (up (Ast.from_name old), Option.get fresh.Ast.corr))
           q.Ast.from from'
       in
-      let scopes = { sc_from = q.Ast.from; sc_renames = renames } :: outer in
+      let scopes =
+        { sc_from = q.Ast.from;
+          sc_resolve =
+            (* a FROM list that fails to resolve (an unknown table) fails
+               only when one of its columns is looked up *)
+            (match Fd.Derive.resolver cat q.Ast.from with
+             | r -> r
+             | exception e -> fun _ -> raise e);
+          sc_renames = renames }
+        :: outer
+      in
       let col (a : Attr.t) =
         if a.Attr.name = "*" then
           (* qualified star: no column to resolve, rename the qualifier *)

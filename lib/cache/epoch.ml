@@ -104,8 +104,9 @@ let find slot ~peek k =
     r
   | None ->
     (* Found-in-delta still accounts as a miss: whether this domain
-       already computed the key this epoch depends on chunk placement,
-       and the counters must not. The value is reused either way. *)
+       already computed the key this epoch depends on which domain drew
+       which item, and the counters must not. The value is reused either
+       way. *)
     l.l_misses <- l.l_misses + 1;
     Hashtbl.find_opt l.delta k
 

@@ -568,26 +568,6 @@ let compile ?config db ~hosts plan : Operator.t =
        filter over the joined stream. Output column order under a
        reordered plan differs from the FROM-order product, which is safe:
        parents resolve columns by qualified name, never by position. *)
-    let rec contains_exists = function
-      | Sql.Ast.Exists _ -> true
-      | Sql.Ast.And (x, y) | Sql.Ast.Or (x, y) ->
-        contains_exists x || contains_exists y
-      | Sql.Ast.Not x -> contains_exists x
-      | Sql.Ast.Ptrue | Sql.Ast.Pfalse | Sql.Ast.Cmp _ | Sql.Ast.Between _
-      | Sql.Ast.In_list _ | Sql.Ast.Is_null _ | Sql.Ast.Is_not_null _ -> false
-    in
-    let rec cols_of p =
-      let of_scalar = function Sql.Ast.Col c -> [ c ] | _ -> [] in
-      match p with
-      | Sql.Ast.Ptrue | Sql.Ast.Pfalse -> []
-      | Sql.Ast.Cmp (_, x, y) -> of_scalar x @ of_scalar y
-      | Sql.Ast.Between (x, y, z) -> of_scalar x @ of_scalar y @ of_scalar z
-      | Sql.Ast.In_list (x, _) | Sql.Ast.Is_null x | Sql.Ast.Is_not_null x ->
-        of_scalar x
-      | Sql.Ast.And (x, y) | Sql.Ast.Or (x, y) -> cols_of x @ cols_of y
-      | Sql.Ast.Not x -> cols_of x
-      | Sql.Ast.Exists _ -> []
-    in
     let safe_mem schema attr =
       match Schema.Relschema.find_index schema attr with
       | Some _ -> true
@@ -595,8 +575,8 @@ let compile ?config db ~hosts plan : Operator.t =
       | exception Failure _ -> false
     in
     let evaluable schema c =
-      (not (contains_exists c))
-      && List.for_all (safe_mem schema) (cols_of c)
+      (not (Sql.Ast.contains_exists c))
+      && List.for_all (safe_mem schema) (Sql.Ast.cols_of_pred c)
     in
     let remaining = ref (Sql.Ast.conjuncts pred) in
     let take f =

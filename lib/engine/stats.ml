@@ -18,9 +18,6 @@ type t = {
   mutable join_probe_rows : int;
   mutable unique_builds : int;
   mutable probe_early_exits : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_evictions : int;
   mutable dedup_strategy : string;
   mutable join_strategy : string;
 }
@@ -46,9 +43,6 @@ let create () =
     join_probe_rows = 0;
     unique_builds = 0;
     probe_early_exits = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
     dedup_strategy = "";
     join_strategy = "";
   }
@@ -73,9 +67,6 @@ let reset t =
   t.join_probe_rows <- 0;
   t.unique_builds <- 0;
   t.probe_early_exits <- 0;
-  t.cache_hits <- 0;
-  t.cache_misses <- 0;
-  t.cache_evictions <- 0;
   t.dedup_strategy <- "";
   t.join_strategy <- ""
 
@@ -99,16 +90,8 @@ let add t u =
   t.join_probe_rows <- t.join_probe_rows + u.join_probe_rows;
   t.unique_builds <- t.unique_builds + u.unique_builds;
   t.probe_early_exits <- t.probe_early_exits + u.probe_early_exits;
-  t.cache_hits <- t.cache_hits + u.cache_hits;
-  t.cache_misses <- t.cache_misses + u.cache_misses;
-  t.cache_evictions <- t.cache_evictions + u.cache_evictions;
   if u.dedup_strategy <> "" then t.dedup_strategy <- u.dedup_strategy;
   if u.join_strategy <> "" then t.join_strategy <- u.join_strategy
-
-let record_cache t ~hits ~misses ~evictions =
-  t.cache_hits <- hits;
-  t.cache_misses <- misses;
-  t.cache_evictions <- evictions
 
 let record_dedup t ~strategy ~state =
   t.dedup_strategy <-
@@ -140,28 +123,4 @@ let fields t =
     ("join_build_rows", t.join_build_rows);
     ("join_probe_rows", t.join_probe_rows);
     ("unique_builds", t.unique_builds);
-    ("probe_early_exits", t.probe_early_exits);
-    ("cache_hits", t.cache_hits);
-    ("cache_misses", t.cache_misses);
-    ("cache_evictions", t.cache_evictions) ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "scanned=%d output=%d pred_evals=%d pairs=%d sorts=%d sorted_rows=%d \
-     comparisons=%d hash_probes=%d subqueries=%d dedup_in=%d dedup_out=%d \
-     dedup_state_peak=%d elisions=%d sort_elisions=%d \
-     merge_joins=%d%s join_build=%d \
-     join_probe=%d unique_builds=%d early_exits=%d%s \
-     cache_hits=%d cache_misses=%d cache_evictions=%d"
-    t.rows_scanned t.rows_output t.predicate_evals t.product_pairs t.sorts
-    t.sorted_rows t.comparisons t.hash_probes t.subquery_evals
-    t.dedup_rows_in t.dedup_rows_out t.dedup_state_peak t.distinct_elisions
-    t.sort_elisions t.merge_joins
-    (if t.dedup_strategy = "" then ""
-     else Printf.sprintf " dedup_strategy=%s" t.dedup_strategy)
-    t.join_build_rows t.join_probe_rows t.unique_builds t.probe_early_exits
-    (if t.join_strategy = "" then ""
-     else Printf.sprintf " join_strategy=%s" t.join_strategy)
-    t.cache_hits t.cache_misses t.cache_evictions
-
-let to_string t = Format.asprintf "%a" pp t
+    ("probe_early_exits", t.probe_early_exits) ]

@@ -41,9 +41,6 @@ type t = {
   mutable probe_early_exits : int;
       (** probes answered by the unique-build fast path: a single row
           returned with no bucket list to walk *)
-  mutable cache_hits : int;         (** analysis-cache verdict hits *)
-  mutable cache_misses : int;       (** analysis-cache verdict misses *)
-  mutable cache_evictions : int;    (** analysis-cache LRU evictions *)
   mutable dedup_strategy : string;
       (** comma-joined names of the dedup strategies that ran, in plan
           order (e.g. ["elided-unique"], ["prefix-unique"]); [""]
@@ -61,12 +58,6 @@ val reset : t -> unit
     [dedup_strategy]/[join_strategy] on the right-hand side wins). *)
 val add : t -> t -> unit
 
-(** Overwrite the analysis-cache counters with a fresh reading (they are
-    gauges of the shared cache, not per-execution deltas, so adding readings
-    from two reports would double-count). *)
-val record_cache :
-  t -> hits:int -> misses:int -> evictions:int -> unit
-
 (** Narrate one duplicate-elimination step: appends [strategy] to
     [dedup_strategy] and folds [state] into [dedup_state_peak]. *)
 val record_dedup : t -> strategy:string -> state:int -> unit
@@ -79,6 +70,3 @@ val record_join : t -> strategy:string -> unit
     JSON and tree renderings). The string-valued strategy narrations are
     not included; read [dedup_strategy]/[join_strategy] directly. *)
 val fields : t -> (string * int) list
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -47,16 +47,9 @@ let analysis_section title analyze q =
   in
   { title; nodes }
 
-let run_execution ?cache database hosts label
+let run_execution database hosts label
     { Optimizer.Physical.query = q; config; _ } =
   let r = Engine.Exec.run_query ~config database ~hosts q in
-  (match cache with
-  | None -> ()
-  | Some c ->
-    let k = Analysis_cache.counters c in
-    Engine.Stats.record_cache config.Engine.Exec.stats
-      ~hits:k.Cache.Lru.c_hits ~misses:k.Cache.Lru.c_misses
-      ~evictions:k.Cache.Lru.c_evictions);
   {
     label;
     sql = Sql.Pretty.query q;
@@ -153,11 +146,11 @@ let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
     | Some db, Some planned ->
       (* the narrated plan runs the query as written; a rewritten query
          gets its own plan *)
-      let as_written = run_execution ?cache db hosts "as-written" planned in
+      let as_written = run_execution db hosts "as-written" planned in
       if chosen.Optimizer.Planner.query = query then [ as_written ]
       else
         [ as_written;
-          run_execution ?cache db hosts "chosen"
+          run_execution db hosts "chosen"
             (Optimizer.Physical.plan ~database:db ~stats cat
                chosen.Optimizer.Planner.query) ]
   in

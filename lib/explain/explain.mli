@@ -50,9 +50,8 @@ type report = {
 
     With [~cache], every uniqueness verdict goes through the
     {!Analysis_cache}: hits add [cache.hit] marker nodes to the analysis
-    sections, an extra ["cache"] section reports the hit/miss/eviction
-    counters, and each execution's {!Engine.Stats.fields} carries them as
-    [cache_hits]/[cache_misses]/[cache_evictions]. Verdicts, rewrites, and
+    sections and an extra ["cache"] section reports the hit/miss/eviction
+    counters. Verdicts, rewrites, and
     the chosen strategy are unchanged by caching.
 
     With [~latency], a ["latency"] section renders the given per-class

@@ -23,28 +23,6 @@ let applicable (q : Sql.Ast.query) =
   | Sql.Ast.Spec spec -> List.length spec.Sql.Ast.from >= 2
   | Sql.Ast.Setop _ -> false
 
-(* Columns a predicate mentions (EXISTS bodies excluded — those run as
-   residual filters, never as join edges). *)
-let rec cols_of p =
-  let of_scalar = function Sql.Ast.Col c -> [ c ] | _ -> [] in
-  match p with
-  | Sql.Ast.Ptrue | Sql.Ast.Pfalse -> []
-  | Sql.Ast.Cmp (_, x, y) -> of_scalar x @ of_scalar y
-  | Sql.Ast.Between (x, y, z) -> of_scalar x @ of_scalar y @ of_scalar z
-  | Sql.Ast.In_list (x, _) | Sql.Ast.Is_null x | Sql.Ast.Is_not_null x ->
-    of_scalar x
-  | Sql.Ast.And (x, y) | Sql.Ast.Or (x, y) -> cols_of x @ cols_of y
-  | Sql.Ast.Not x -> cols_of x
-  | Sql.Ast.Exists _ -> []
-
-let rec contains_exists = function
-  | Sql.Ast.Exists _ -> true
-  | Sql.Ast.And (x, y) | Sql.Ast.Or (x, y) ->
-    contains_exists x || contains_exists y
-  | Sql.Ast.Not x -> contains_exists x
-  | Sql.Ast.Ptrue | Sql.Ast.Pfalse | Sql.Ast.Cmp _ | Sql.Ast.Between _
-  | Sql.Ast.In_list _ | Sql.Ast.Is_null _ | Sql.Ast.Is_not_null _ -> false
-
 let fallback ~name ~reason =
   {
     impl = Engine.Exec.Hash_join;
@@ -66,11 +44,13 @@ let plan ?cache cat stats (spec : Sql.Ast.query_spec) =
   let resolve = Fd.Derive.resolver cat spec.Sql.Ast.from in
   let conjs = Sql.Ast.conjuncts spec.Sql.Ast.where in
   let rels_of c =
-    if contains_exists c then None
+    if Sql.Ast.contains_exists c then None
     else
       Some
         (List.sort_uniq compare
-           (List.map (fun a -> (resolve a).Schema.Attr.rel) (cols_of c)))
+           (List.map
+              (fun a -> (resolve a).Schema.Attr.rel)
+              (Sql.Ast.cols_of_pred c)))
   in
   (* single-leaf conjuncts, attributed exactly as the engine pushes them *)
   let pushed =

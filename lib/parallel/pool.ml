@@ -1,46 +1,23 @@
-(* Work-stealing scheduler: one deque of tasks per domain (index 0 is the
-   submitting domain), owners pop their own deque, idle domains steal half
-   of a victim's deque. Chunked [map] submits coarse per-chunk tasks dealt
-   round-robin over the deques, so the common case runs with no migration
-   at all and stealing only pays for skewed chunk costs.
+(* One parallel map: [map] publishes a batch, and every domain, the caller
+   included, claims item indices from its atomic [next] until none is
+   left. An item's outcome goes to its own slot, so running one never
+   raises. Completions are counted under the one mutex: the caller that
+   sees the count reach 0 also sees every slot. *)
 
-   The deterministic ordering guarantees live entirely in the callers
-   ([map] assembles chunk results by index, [await] is per-future), so the
-   scheduler is free to run tasks in any order on any domain.
-
-   Liveness discipline (the worker-exception regression of PR 8): every
-   task, stolen or not, runs through [execute], which stores the outcome —
-   value or exception — into the future and decrements [pending] under the
-   global mutex with a [progress] broadcast, with no raise possible in
-   between. A helper awaiting a chunk therefore always wakes up, even when
-   the chunk's task raised on a thief domain. *)
-
-type 'a cell =
-  | Pending
-  | Value of 'a
-  | Raised of exn * Printexc.raw_backtrace
-
-type 'a future = { mutable cell : 'a cell }
-
-type task = unit -> unit
-
-type deque = {
-  dq_mutex : Mutex.t;
-  dq_tasks : task Queue.t;
+type batch = {
+  size : int;
+  run : int -> unit;  (* run item [i] into its slot; never raises *)
+  next : int Atomic.t;  (* the next unclaimed index *)
+  mutable unfinished : int;  (* guarded by [mutex] *)
 }
 
 type shared = {
-  mutex : Mutex.t;  (* guards [queued], [pending], [stop] and both conditions *)
-  wakeup : Condition.t;  (* workers: tasks may be queued / shutdown *)
-  progress : Condition.t;  (* awaiters: some task completed *)
-  deques : deque array;
-  mutable queued : int;  (* tasks sitting in some deque, not yet taken *)
-  mutable pending : int;  (* tasks submitted, not yet completed *)
+  mutex : Mutex.t;  (* guards [batch], [generation], [stop], [unfinished] *)
+  work : Condition.t;  (* workers: a new generation, or [stop] *)
+  finished : Condition.t;  (* the caller: a batch's count reached 0 *)
+  mutable batch : batch option;
+  mutable generation : int;
   mutable stop : bool;
-  submitted : int Atomic.t;
-  steals : int Atomic.t;  (* successful steal operations *)
-  stolen_tasks : int Atomic.t;  (* tasks that migrated in those steals *)
-  rr : int Atomic.t;  (* round-robin cursor for submissions *)
 }
 
 type t = {
@@ -49,276 +26,103 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-type stats = {
-  tasks : int;
-  steals : int;
-  stolen_tasks : int;
-}
-
 let jobs t = t.n_jobs
 
-let stats t =
-  match t.shared with
-  | None -> { tasks = 0; steals = 0; stolen_tasks = 0 }
-  | Some s ->
-    { tasks = Atomic.get s.submitted;
-      steals = Atomic.get s.steals;
-      stolen_tasks = Atomic.get s.stolen_tasks }
-
-(* ---- deque primitives --------------------------------------------- *)
-
-(* Take one task from the caller's own deque. *)
-let take_own shared i =
-  let d = shared.deques.(i) in
-  Mutex.lock d.dq_mutex;
-  let task = Queue.take_opt d.dq_tasks in
-  Mutex.unlock d.dq_mutex;
-  (match task with
-  | Some _ ->
-    Mutex.lock shared.mutex;
-    shared.queued <- shared.queued - 1;
-    Mutex.unlock shared.mutex
-  | None -> ());
-  task
-
-(* Steal the front half of [victim]'s deque into [thief]'s, returning one
-   of the stolen tasks to run immediately. A contended victim mutex is
-   skipped rather than waited on — some other domain is already busy
-   there. *)
-let steal_from shared ~thief ~victim =
-  let v = shared.deques.(victim) in
-  if not (Mutex.try_lock v.dq_mutex) then None
-  else begin
-    let n = Queue.length v.dq_tasks in
-    if n = 0 then begin
-      Mutex.unlock v.dq_mutex;
-      None
+(* Claim and run items until the batch has none left, then count this
+   domain's completions in one step. *)
+let drain s b =
+  let rec go ran =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.size then begin
+      b.run i;
+      go (ran + 1)
     end
-    else begin
-      let want = (n + 1) / 2 in
-      let grabbed = ref [] in
-      for _ = 1 to want do
-        grabbed := Queue.pop v.dq_tasks :: !grabbed
-      done;
-      Mutex.unlock v.dq_mutex;
-      match List.rev !grabbed with
-      | [] -> None
-      | first :: rest ->
-        if rest <> [] then begin
-          let mine = shared.deques.(thief) in
-          Mutex.lock mine.dq_mutex;
-          List.iter (fun t -> Queue.add t mine.dq_tasks) rest;
-          Mutex.unlock mine.dq_mutex
-        end;
-        (* [first] leaves the queued population; the rest just moved. *)
-        Mutex.lock shared.mutex;
-        shared.queued <- shared.queued - 1;
-        Mutex.unlock shared.mutex;
-        Atomic.incr shared.steals;
-        ignore (Atomic.fetch_and_add shared.stolen_tasks want);
-        Some first
-    end
+    else ran
+  in
+  let ran = go 0 in
+  if ran > 0 then begin
+    Mutex.lock s.mutex;
+    b.unfinished <- b.unfinished - ran;
+    if b.unfinished = 0 then Condition.broadcast s.finished;
+    Mutex.unlock s.mutex
   end
 
-let try_steal shared i =
-  let n = Array.length shared.deques in
-  let rec go k =
-    if k = n then None
-    else
-      let victim = (i + k) mod n in
-      if victim = i then go (k + 1)
-      else
-        match steal_from shared ~thief:i ~victim with
-        | Some _ as r -> r
-        | None -> go (k + 1)
+let worker s =
+  let rec loop seen =
+    Mutex.lock s.mutex;
+    while s.generation = seen && not s.stop do
+      Condition.wait s.work s.mutex
+    done;
+    let stop = s.stop and generation = s.generation and batch = s.batch in
+    Mutex.unlock s.mutex;
+    if not stop then begin
+      Option.iter (drain s) batch;
+      loop generation
+    end
   in
-  go 1
-
-let next_task shared i =
-  match take_own shared i with
-  | Some _ as r -> r
-  | None -> try_steal shared i
-
-(* ---- execution ----------------------------------------------------- *)
-
-(* Tasks never let an exception escape into a worker loop: the outcome —
-   value or exception + backtrace — is stored in the future and re-raised
-   by whoever awaits it. *)
-let run_to_cell f =
-  match f () with
-  | v -> Value v
-  | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-
-(* Run [f], publish its outcome, account the completion. Nothing between
-   the outcome capture and the [progress] broadcast can raise, so a task
-   that raises — including one that was just stolen — still wakes every
-   helper awaiting it (the PR 4 pool could lose that wakeup). *)
-let execute shared fut f =
-  let outcome = run_to_cell f in
-  Mutex.lock shared.mutex;
-  fut.cell <- outcome;
-  shared.pending <- shared.pending - 1;
-  Condition.broadcast shared.progress;
-  Mutex.unlock shared.mutex
-
-(* ---- worker loop ---------------------------------------------------- *)
-
-let worker shared i =
-  let rec loop () =
-    match next_task shared i with
-    | Some run ->
-      run ();
-      loop ()
-    | None ->
-      Mutex.lock shared.mutex;
-      let rec idle () =
-        if shared.queued > 0 then begin
-          Mutex.unlock shared.mutex;
-          loop ()
-        end
-        else if shared.stop then Mutex.unlock shared.mutex
-        else begin
-          Condition.wait shared.wakeup shared.mutex;
-          idle ()
-        end
-      in
-      idle ()
-  in
-  loop ()
+  loop 0
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   if jobs = 1 then { n_jobs = 1; shared = None; domains = [] }
   else begin
-    let shared =
-      {
-        mutex = Mutex.create ();
-        wakeup = Condition.create ();
-        progress = Condition.create ();
-        deques =
-          Array.init jobs (fun _ ->
-              { dq_mutex = Mutex.create (); dq_tasks = Queue.create () });
-        queued = 0;
-        pending = 0;
-        stop = false;
-        submitted = Atomic.make 0;
-        steals = Atomic.make 0;
-        stolen_tasks = Atomic.make 0;
-        rr = Atomic.make 0;
-      }
+    let s =
+      { mutex = Mutex.create (); work = Condition.create ();
+        finished = Condition.create (); batch = None; generation = 0;
+        stop = false }
     in
     let domains =
-      List.init (jobs - 1) (fun k ->
-          Domain.spawn (fun () -> worker shared (k + 1)))
+      List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker s))
     in
-    { n_jobs = jobs; shared = Some shared; domains }
+    { n_jobs = jobs; shared = Some s; domains }
   end
 
-(* Submission deals tasks round-robin over the deques, so a coarse [map]
-   starts balanced and stealing only has to fix cost skew, not placement. *)
-let submit shared run =
-  let i = Atomic.fetch_and_add shared.rr 1 mod Array.length shared.deques in
-  let d = shared.deques.(i) in
-  Mutex.lock d.dq_mutex;
-  Queue.add run d.dq_tasks;
-  Mutex.unlock d.dq_mutex;
-  Atomic.incr shared.submitted;
-  Mutex.lock shared.mutex;
-  shared.queued <- shared.queued + 1;
-  shared.pending <- shared.pending + 1;
-  Condition.signal shared.wakeup;
-  Mutex.unlock shared.mutex
-
-let async t f =
-  match t.shared with
-  | None -> { cell = run_to_cell f }
-  | Some shared ->
-    let fut = { cell = Pending } in
-    submit shared (fun () -> execute shared fut f);
-    fut
-
-(* Advisory, lock-free: the cell only ever moves Pending -> completed, so
-   a stale read is a false "not ready", never a false "ready". *)
-let ready fut = match fut.cell with Pending -> false | Value _ | Raised _ -> true
-
-let finish = function
-  | Value v -> v
-  | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
-
-let await t fut =
-  match t.shared with
-  | None -> finish fut.cell
-  | Some shared ->
-    (* Help instead of idling: run queued tasks (possibly the very one we
-       wait for, possibly by stealing it back from a loaded deque), and
-       only sleep on [progress] when every deque is dry. *)
-    let rec wait () =
-      match fut.cell with
-      | Value _ | Raised _ -> finish fut.cell
-      | Pending -> (
-        match next_task shared 0 with
-        | Some run ->
-          run ();
-          wait ()
-        | None ->
-          Mutex.lock shared.mutex;
-          (match fut.cell with
-          | Value _ | Raised _ -> ()
-          | Pending ->
-            if shared.queued = 0 then Condition.wait shared.progress shared.mutex);
-          Mutex.unlock shared.mutex;
-          wait ())
+let map t f xs =
+  match (t.shared, xs) with
+  | None, _ -> List.map f xs
+  | Some _, [] -> []
+  | Some s, _ ->
+    let items = Array.of_list xs in
+    let slots = Array.make (Array.length items) None in
+    let run i =
+      slots.(i) <-
+        Some
+          (match f items.(i) with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    wait ()
-
-let default_chunks_per_domain = 2
-
-let chunk_list ~chunk_size xs =
-  let rec chunks acc cur len = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if len = chunk_size then chunks (List.rev cur :: acc) [ x ] 1 rest
-      else chunks acc (x :: cur) (len + 1) rest
-  in
-  chunks [] [] 0 xs
-
-let map ?chunks t f xs =
-  match t.shared with
-  | None -> List.map f xs
-  | Some _ ->
-    let n = List.length xs in
-    if n = 0 then []
-    else begin
-      (* Coarse chunks: a couple per domain (overridable), dealt round-
-         robin; work stealing backfills skew, so unlike the fine-grained
-         PR 4 pool there is no need to over-split just to keep stragglers
-         short. *)
-      let n_chunks =
-        match chunks with
-        | Some c when c >= 1 -> c
-        | Some _ -> invalid_arg "Pool.map: chunks must be >= 1"
-        | None -> t.n_jobs * default_chunks_per_domain
-      in
-      let chunk_size = max 1 (1 + ((n - 1) / n_chunks)) in
-      let futures =
-        List.map
-          (fun chunk -> async t (fun () -> List.map f chunk))
-          (chunk_list ~chunk_size xs)
-      in
-      (* Await in submission order: results concatenate deterministically
-         and the first failing chunk (in that order) re-raises here. *)
-      List.concat_map (fun fut -> await t fut) futures
-    end
+    let size = Array.length items in
+    let b = { size; run; next = Atomic.make 0; unfinished = size } in
+    Mutex.lock s.mutex;
+    s.batch <- Some b;
+    s.generation <- s.generation + 1;
+    Condition.broadcast s.work;
+    Mutex.unlock s.mutex;
+    drain s b;
+    Mutex.lock s.mutex;
+    while b.unfinished > 0 do
+      Condition.wait s.finished s.mutex
+    done;
+    s.batch <- None;
+    Mutex.unlock s.mutex;
+    (* Index order, so the first failure in input order is the one raised. *)
+    let results = ref [] in
+    for i = 0 to b.size - 1 do
+      match slots.(i) with
+      | Some (Ok v) -> results := v :: !results
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false
+    done;
+    List.rev !results
 
 let shutdown t =
   match t.shared with
   | None -> ()
-  | Some shared ->
-    Mutex.lock shared.mutex;
-    shared.stop <- true;
-    Condition.broadcast shared.wakeup;
-    Mutex.unlock shared.mutex;
+  | Some s ->
+    Mutex.lock s.mutex;
+    s.stop <- true;
+    Condition.broadcast s.work;
+    Mutex.unlock s.mutex;
     List.iter Domain.join t.domains;
     t.domains <- []
 

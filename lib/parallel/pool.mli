@@ -1,90 +1,34 @@
-(** A fixed-size pool of worker domains with a work-stealing scheduler.
+(** A fixed-size pool of worker domains that runs one parallel map.
 
-    The analysis pipeline is embarrassingly parallel across queries — the
-    shape Graefe's Volcano exchange operator exploits — so the pool's only
-    job is to spread independent analyses over the cores without changing
-    any observable ordering. Three properties are guaranteed:
+    Each query is analysed on its own, so [batch], [serve] and
+    [fuzz --jobs N] need only a parallel [List.map] with a barrier. In a
+    {!map}, every domain, the caller included, claims item indices from
+    one atomic counter until none is left; the caller then waits for the
+    stragglers. Guarantees:
 
-    - {e Deterministic result order.} {!map} and {!await} deliver results in
-      submission order, never completion order, so batch output, fuzz
-      reports, and serve replies are byte-identical at any [--jobs] level.
-    - {e Exceptions travel to the submitter.} An exception raised inside a
-      worker is captured with its backtrace and re-raised by {!map} /
-      {!await} on the submitting domain (the first failing item in
-      submission order wins). Workers never die; the pool stays usable —
-      and a task that raises after being {e stolen} still wakes every
-      domain awaiting its chunk (outcome publication and completion
-      accounting are a single atomic step).
-    - {e [jobs = 1] degenerates to the sequential path.} No domain is
-      spawned, no mutex is taken, {!map} is [List.map]: single-core
-      behaviour and performance are exactly those of the code before the
-      pool existed.
+    - {e Input order.} Results come back in input order, so batch output,
+      fuzz reports and serve replies are byte-identical at any [--jobs].
+    - {e Exceptions reach the caller.} Every item runs, even after an
+      earlier one raised; then {!map} re-raises, with its backtrace, the
+      exception of the first raising item in input order. The pool stays
+      usable.
+    - {e [jobs = 1] is [List.map].} Nothing is spawned, no mutex is taken.
 
-    Scheduling is coarse-chunk work stealing: {!map} splits its input into
-    a few contiguous chunks per domain, dealt round-robin onto per-domain
-    deques. Owners pop their own deque with no cross-domain traffic; a
-    domain that runs dry steals the front {e half} of the first non-empty
-    victim deque (round-robin scan, [try_lock] so a contended victim is
-    skipped, not waited on). The submitting domain helps — and steals —
-    while it waits in {!await}. Hand-rolled on [Domain]/[Mutex]/
-    [Condition]; no external dependency.
-
-    The pool is not reentrant: do not call {!map}, {!async} or {!await}
-    from inside a task running on this pool. *)
+    Call {!map} from one domain at a time, never from inside an item. *)
 
 type t
 
-(** [create ~jobs] — a pool that runs work on [jobs] domains total: the
-    submitting domain plus [jobs - 1] spawned workers ([jobs = 1] spawns
-    nothing). @raise Invalid_argument when [jobs < 1]. *)
+(** [create ~jobs] — the caller plus [jobs - 1] spawned worker domains.
+    @raise Invalid_argument when [jobs < 1]. *)
 val create : jobs:int -> t
 
-(** Total domains working for this pool (the [~jobs] it was created with). *)
+(** The [~jobs] the pool was created with. *)
 val jobs : t -> int
 
-(** Scheduler counters, cumulative since {!create}. [tasks] is the number
-    of tasks submitted; [steals] counts successful steal operations;
-    [stolen_tasks] counts tasks that migrated in those steals (steal-half
-    moves several at once). All zero when [jobs = 1]. *)
-type stats = {
-  tasks : int;
-  steals : int;
-  stolen_tasks : int;
-}
+(** [map t f xs] — [List.map f xs] spread over the pool's domains. *)
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
-val stats : t -> stats
-
-(** [map t f xs] — [List.map f xs], evaluated in parallel chunks. Results
-    arrive in submission order; the first exception (in submission order) is
-    re-raised on the calling domain after the batch has drained. The pool is
-    reusable immediately afterwards, including after an exception.
-    [?chunks] overrides the number of chunks the input is split into
-    (default: a couple per domain); tests use [~chunks] to force skew and
-    steal traffic. @raise Invalid_argument when [chunks < 1]. *)
-val map : ?chunks:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** A single submitted task (used by [uniqsql serve] to keep a bounded
-    set of in-flight requests while connections are multiplexed). *)
-type 'a future
-
-(** [async t f] — submit [f] for execution on any domain of the pool. With
-    [jobs = 1] the call runs [f] immediately on the calling domain. *)
-val async : t -> (unit -> 'a) -> 'a future
-
-(** [ready fut] — has the task completed? Advisory and non-blocking: a
-    [false] may be stale (the task just finished on another domain), a
-    [true] is definitive. Lets [uniqsql serve] emit finished replies
-    eagerly without blocking on the next request. *)
-val ready : 'a future -> bool
-
-(** [await t fut] — block until [fut] is done and return its result, or
-    re-raise (with backtrace) the exception its task raised. While waiting,
-    the calling domain executes (and steals) other queued tasks of the
-    pool rather than idling. *)
-val await : t -> 'a future -> 'a
-
-(** Join the worker domains. Queued tasks are finished first; the pool must
-    not be used afterwards. Idempotent. *)
+(** Join the workers; the pool must not be used afterwards. Idempotent. *)
 val shutdown : t -> unit
 
 (** [with_pool ~jobs f] — [create], run [f], always [shutdown]. *)

@@ -65,7 +65,7 @@ let process cache cat ~label sql =
   Format.pp_print_flush ppf ();
   (Buffer.contents buf, cls)
 
-(* One epoch per batch: the caches freeze, the chunks fan out over the
+(* One epoch per batch: the caches freeze, the requests fan out over the
    pool with zero lock traffic, and the per-domain deltas merge at the
    barrier with deterministic accounting. Replies come back in request
    order. *)

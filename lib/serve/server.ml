@@ -104,13 +104,9 @@ let stats_text t =
       Reply.all_classes
   in
   let sec = Explain.latency_section summaries in
-  let pstats = Parallel.Pool.stats t.pool in
   Format.asprintf
-    "stats jobs=%d served=%d rejected=%d inflight_peak=%d@.pool: tasks=%d \
-     steals=%d stolen_tasks=%d@.%s@.%s@.%s@.%a"
+    "stats jobs=%d served=%d rejected=%d inflight_peak=%d@.%s@.%s@.%s@.%a"
     t.cfg.jobs t.served t.rejected t.inflight_peak
-    pstats.Parallel.Pool.tasks pstats.Parallel.Pool.steals
-    pstats.Parallel.Pool.stolen_tasks
     (Reply.cache_stats_line t.cache)
     sec.Explain.title
     (String.make (String.length sec.Explain.title) '-')

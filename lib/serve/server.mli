@@ -4,7 +4,7 @@
     stdin. Protocol (documented for operators in [doc/SERVING.md]):
 
     - One request per line: SQL text, or the commands [stats] (drain,
-      then report counters, pool steal statistics, and per-class
+      then report counters, cache counters, and per-class
       p50/p95/p99 latency as an explain-style ["latency"] section) and
       [shutdown] (reply ["draining"], then drain and exit). Blank lines
       and [--] comments are ignored. [.stats] is accepted as a synonym

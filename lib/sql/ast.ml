@@ -195,6 +195,31 @@ let rec rels_of_pred p =
   | Not a -> rels_of_pred a
   | Exists q -> rels_of_pred q.where
 
+(** Columns a predicate mentions, left to right. EXISTS bodies and
+    aggregate arguments are not entered. *)
+let cols_of_pred p =
+  let of_scalar s acc =
+    match s with Col a -> a :: acc | Const _ | Host _ | Agg _ -> acc
+  in
+  let rec go p acc =
+    match p with
+    | Ptrue | Pfalse | Exists _ -> acc
+    | Cmp (_, a, b) -> of_scalar a (of_scalar b acc)
+    | Between (a, b, c) -> of_scalar a (of_scalar b (of_scalar c acc))
+    | In_list (a, _) | Is_null a | Is_not_null a -> of_scalar a acc
+    | And (a, b) | Or (a, b) -> go a (go b acc)
+    | Not a -> go a acc
+  in
+  go p []
+
+(** Does the predicate contain an EXISTS subquery? *)
+let rec contains_exists = function
+  | Exists _ -> true
+  | And (a, b) | Or (a, b) -> contains_exists a || contains_exists b
+  | Not a -> contains_exists a
+  | Ptrue | Pfalse | Cmp _ | Between _ | In_list _ | Is_null _
+  | Is_not_null _ -> false
+
 let rec rels_of_scalar = function
   | Col a -> if a.Schema.Attr.rel = "" then [] else [ a.Schema.Attr.rel ]
   | Const _ | Host _ -> []

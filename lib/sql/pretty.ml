@@ -15,72 +15,115 @@ let agg_name = function
   | Max -> "MAX"
   | Avg -> "AVG"
 
-let rec scalar = function
-  | Col a -> Schema.Attr.to_string a
-  | Const v -> Sqlval.Value.to_string v
-  | Host h -> ":" ^ h
-  | Agg (fn, None) -> agg_name fn ^ "(*)"
-  | Agg (fn, Some s) -> agg_name fn ^ "(" ^ scalar s ^ ")"
+(* Every printer writes into one [Buffer], so output is linear in the
+   AST's size: no [^] copies down a left-deep AND chain or a NOT chain. *)
+let add = Buffer.add_string
+
+let add_list buf sep add_item = function
+  | [] -> ()
+  | x :: rest ->
+    add_item buf x;
+    List.iter (fun y -> add buf sep; add_item buf y) rest
+
+let rec add_scalar buf = function
+  | Col a -> add buf (Schema.Attr.to_string a)
+  | Const v -> add buf (Sqlval.Value.to_string v)
+  | Host h -> add buf ":"; add buf h
+  | Agg (fn, None) -> add buf (agg_name fn); add buf "(*)"
+  | Agg (fn, Some s) ->
+    add buf (agg_name fn);
+    add buf "(";
+    add_scalar buf s;
+    add buf ")"
+
+let add_value buf v = add buf (Sqlval.Value.to_string v)
 
 (* Precedence: OR(1) < AND(2) < NOT(3) < atoms. Parenthesize a child whose
    precedence is lower than the context requires. *)
-let rec pred_prec ~prec p =
-  let wrap need body = if need > prec then body else "(" ^ body ^ ")" in
+let rec add_pred buf ~prec p =
+  let wrap need body =
+    if need > prec then body ()
+    else begin
+      add buf "(";
+      body ();
+      add buf ")"
+    end
+  in
+  let binary need a sep b =
+    wrap need (fun () ->
+        add_pred buf ~prec:need a;
+        add buf sep;
+        add_pred buf ~prec:need b)
+  in
   match p with
-  | Ptrue -> "TRUE"
-  | Pfalse -> "FALSE"
-  | Cmp (op, a, b) -> scalar a ^ " " ^ comparison op ^ " " ^ scalar b
-  | Between (a, lo, hi) -> scalar a ^ " BETWEEN " ^ scalar lo ^ " AND " ^ scalar hi
+  | Ptrue -> add buf "TRUE"
+  | Pfalse -> add buf "FALSE"
+  | Cmp (op, a, b) ->
+    add_scalar buf a;
+    add buf " ";
+    add buf (comparison op);
+    add buf " ";
+    add_scalar buf b
+  | Between (a, lo, hi) ->
+    add_scalar buf a;
+    add buf " BETWEEN ";
+    add_scalar buf lo;
+    add buf " AND ";
+    add_scalar buf hi
   | In_list (a, vs) ->
-    scalar a ^ " IN (" ^ String.concat ", " (List.map Sqlval.Value.to_string vs) ^ ")"
-  | Is_null a -> scalar a ^ " IS NULL"
-  | Is_not_null a -> scalar a ^ " IS NOT NULL"
-  | Not p -> wrap 3 ("NOT " ^ pred_prec ~prec:3 p)
-  | And (a, b) -> wrap 2 (pred_prec ~prec:2 a ^ " AND " ^ pred_prec ~prec:2 b)
-  | Or (a, b) -> wrap 1 (pred_prec ~prec:1 a ^ " OR " ^ pred_prec ~prec:1 b)
-  | Exists q -> "EXISTS (" ^ query_spec q ^ ")"
+    add_scalar buf a;
+    add buf " IN (";
+    add_list buf ", " add_value vs;
+    add buf ")"
+  | Is_null a -> add_scalar buf a; add buf " IS NULL"
+  | Is_not_null a -> add_scalar buf a; add buf " IS NOT NULL"
+  | Not p -> wrap 3 (fun () -> add buf "NOT "; add_pred buf ~prec:3 p)
+  | And (a, b) -> binary 2 a " AND " b
+  | Or (a, b) -> binary 1 a " OR " b
+  | Exists q ->
+    add buf "EXISTS (";
+    add_query_spec buf q;
+    add buf ")"
 
-and pred p = pred_prec ~prec:0 p
-
-and query_spec q =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf "SELECT ";
-  (match q.distinct with
-   | Distinct -> Buffer.add_string buf "DISTINCT "
-   | All -> Buffer.add_string buf "ALL ");
+and add_query_spec buf q =
+  add buf "SELECT ";
+  add buf (match q.distinct with Distinct -> "DISTINCT " | All -> "ALL ");
   (match q.select with
-   | Star -> Buffer.add_string buf "*"
-   | Cols cs -> Buffer.add_string buf (String.concat ", " (List.map scalar cs)));
-  Buffer.add_string buf " FROM ";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun f ->
-            match f.corr with None -> f.table | Some c -> f.table ^ " " ^ c)
-          q.from));
+   | Star -> add buf "*"
+   | Cols cs -> add_list buf ", " add_scalar cs);
+  add buf " FROM ";
+  add_list buf ", "
+    (fun buf f ->
+      add buf f.table;
+      Option.iter (fun c -> add buf " "; add buf c) f.corr)
+    q.from;
   (match q.where with
    | Ptrue -> ()
-   | w ->
-     Buffer.add_string buf " WHERE ";
-     Buffer.add_string buf (pred w));
-  (match q.group_by with
-   | [] -> ()
-   | cols ->
-     Buffer.add_string buf " GROUP BY ";
-     Buffer.add_string buf (String.concat ", " (List.map scalar cols)));
-  (match q.order_by with
-   | [] -> ()
-   | cols ->
-     Buffer.add_string buf " ORDER BY ";
-     Buffer.add_string buf (String.concat ", " (List.map scalar cols)));
+   | w -> add buf " WHERE "; add_pred buf ~prec:0 w);
+  let add_cols kw = function
+    | [] -> ()
+    | cols -> add buf kw; add_list buf ", " add_scalar cols
+  in
+  add_cols " GROUP BY " q.group_by;
+  add_cols " ORDER BY " q.order_by
+
+let rec add_query buf = function
+  | Spec q -> add_query_spec buf q
+  | Setop (op, d, a, b) ->
+    add_query buf a;
+    add buf (match op with Intersect -> " INTERSECT" | Except -> " EXCEPT");
+    add buf (match d with All -> " ALL " | Distinct -> " ");
+    add_query buf b
+
+let to_string add_x x =
+  let buf = Buffer.create 64 in
+  add_x buf x;
   Buffer.contents buf
 
-let rec query = function
-  | Spec q -> query_spec q
-  | Setop (op, d, a, b) ->
-    let opname = match op with Intersect -> "INTERSECT" | Except -> "EXCEPT" in
-    let dname = match d with All -> " ALL" | Distinct -> "" in
-    query a ^ " " ^ opname ^ dname ^ " " ^ query b
+let scalar = to_string add_scalar
+let pred = to_string (add_pred ~prec:0)
+let query_spec = to_string add_query_spec
+let query = to_string add_query
 
 let col_def (c : col_def) =
   Printf.sprintf "%s %s%s" c.cd_name

@@ -434,34 +434,13 @@ let remove_implied_predicates cat (q : query_spec) =
   let rule = "predicate pruning (table constraints)" in
   let resolve = Fd.Derive.resolver cat q.from in
   let single_column c =
-    let rec contains_exists = function
-      | Exists _ -> true
-      | And (a, b) | Or (a, b) -> contains_exists a || contains_exists b
-      | Not a -> contains_exists a
-      | _ -> false
-    in
     if contains_exists c then None
     else
-      let rec cols acc p =
-        let of_scalar acc = function
-          | Col a -> a :: acc
-          | Const _ | Host _ -> acc
-          | Agg _ -> acc
-        in
-        match p with
-        | Ptrue | Pfalse -> acc
-        | Cmp (_, a, b) -> of_scalar (of_scalar acc a) b
-        | Between (a, b, c') -> of_scalar (of_scalar (of_scalar acc a) b) c'
-        | In_list (a, _) | Is_null a | Is_not_null a -> of_scalar acc a
-        | And (a, b) | Or (a, b) -> cols (cols acc a) b
-        | Not a -> cols acc a
-        | Exists _ -> acc
-      in
       match
         List.sort_uniq Attr.compare
           (List.filter_map
              (fun a -> try Some (resolve a) with Fd.Derive.Unknown_column _ -> None)
-             (cols [] c))
+             (cols_of_pred c))
       with
       | [ a ] -> Some a
       | _ -> None

@@ -1,9 +1,9 @@
-(* Tests for the work-stealing domain pool and the epoch-scoped caches:
-   map's submission-order determinism, exception capture across domains
-   (including tasks that raise after being stolen), pool reuse, the
-   jobs = 1 sequential degeneration, steal traffic under skewed chunk
-   costs, epoch-merge cache equivalence across jobs levels, and a
-   multi-domain interner stress run. *)
+(* Tests for the domain pool and the epoch-scoped caches: map's
+   input-order results and first-in-input-order exception, pool reuse
+   after a raising batch, the jobs = 1 sequential degeneration, a waiter
+   never left asleep under skewed item costs, epoch-merge cache
+   equivalence across jobs levels, and a multi-domain interner stress
+   run. *)
 
 module Pool = Parallel.Pool
 module L = Cache.Lru
@@ -46,12 +46,7 @@ let test_exception_propagation () =
   | _ -> Alcotest.fail "expected Boom to re-raise"
   | exception Boom 17 -> ());
   Alcotest.(check (list int)) "pool survives a raising batch" [ 1; 2; 3 ]
-    (Pool.map pool (fun x -> x) [ 1; 2; 3 ]);
-  (* async/await propagate too *)
-  let fut = Pool.async pool (fun () -> raise (Boom 3)) in
-  (match Pool.await pool fut with
-  | _ -> Alcotest.fail "expected Boom from await"
-  | exception Boom 3 -> ())
+    (Pool.map pool (fun x -> x) [ 1; 2; 3 ])
 
 let test_pool_reuse_across_batches () =
   Pool.with_pool ~jobs:4 @@ fun pool ->
@@ -63,17 +58,14 @@ let test_pool_reuse_across_batches () =
       (Pool.map pool succ xs)
   done
 
-(* jobs = 1 spawns nothing: every task runs inline on the calling domain,
-   and a future is already resolved when async returns *)
+(* jobs = 1 spawns nothing: every item runs inline on the calling domain *)
 let test_jobs1_degenerates_to_sequential () =
   Pool.with_pool ~jobs:1 @@ fun pool ->
   Alcotest.(check int) "jobs" 1 (Pool.jobs pool);
   let self = Domain.self () in
-  let ran_on = ref None in
-  let fut = Pool.async pool (fun () -> ran_on := Some (Domain.self ())) in
-  Alcotest.(check bool) "async ran inline" true (Pool.ready fut);
-  Pool.await pool fut;
-  Alcotest.(check bool) "on the calling domain" true (!ran_on = Some self);
+  Alcotest.(check bool) "on the calling domain" true
+    (List.for_all (( = ) self)
+       (Pool.map pool (fun _ -> Domain.self ()) [ 1; 2; 3 ]));
   (* side effects happen in list order, like List.map *)
   let order = ref [] in
   ignore
@@ -90,7 +82,7 @@ let test_create_rejects_zero_jobs () =
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
       ignore (Pool.create ~jobs:0))
 
-(* ---- work stealing ---- *)
+(* ---- skew and exceptions ---- *)
 
 let spin n =
   let acc = ref 0 in
@@ -99,56 +91,15 @@ let spin n =
   done;
   ignore !acc
 
-(* Skewed chunk costs: the first few chunks carry almost all the work, so
-   whoever draws them keeps running while everyone else drains their
-   deque and steals. Steal timing is scheduler-dependent, so the check
-   retries a few rounds — but the result order must hold on every round,
-   steals or not. *)
-let test_steal_under_skewed_chunks () =
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  let n = 512 in
-  let inputs = List.init n Fun.id in
-  let expected = List.map (fun i -> i * 3) inputs in
-  let skewed i =
-    spin (if i < 16 then 400_000 else 50);
-    i * 3
-  in
-  let rounds = ref 0 in
-  while (Pool.stats pool).Pool.steals = 0 && !rounds < 50 do
-    incr rounds;
-    Alcotest.(check (list int)) "order preserved under skew" expected
-      (Pool.map ~chunks:64 pool skewed inputs)
-  done;
-  let s = Pool.stats pool in
-  Alcotest.(check bool)
-    (Printf.sprintf "steals observed (after %d rounds)" !rounds)
-    true
-    (s.Pool.steals > 0);
-  (* steal-half migrates at least one task per successful steal *)
-  Alcotest.(check bool) "stolen_tasks >= steals" true
-    (s.Pool.stolen_tasks >= s.Pool.steals);
-  Alcotest.(check bool) "tasks counted" true (s.Pool.tasks >= 64)
-
-let test_stats_zero_at_jobs1 () =
-  Pool.with_pool ~jobs:1 @@ fun pool ->
-  ignore (Pool.map pool succ (List.init 100 Fun.id));
-  let s = Pool.stats pool in
-  Alcotest.(check int) "no steals sequentially" 0 s.Pool.steals;
-  Alcotest.(check int) "no migrated tasks" 0 s.Pool.stolen_tasks
-
-(* Regression for the awaiting-helper deadlock: a task that raises —
-   possibly after being stolen, which the skew makes likely — must both
-   re-raise at the submitter and wake every domain awaiting the batch.
-   Before outcome publication and completion accounting became a single
-   atomic step, a raise on a stolen task could leave helpers asleep. The
-   many rounds make the steal/raise interleaving all but certain to
-   occur; a deadlock here hangs the test rather than failing it, which is
-   exactly what CI's timeout is for. *)
-let test_raise_after_steal_no_deadlock () =
+(* Regression for a waiter left asleep: an item that raises while other
+   domains still run heavy items must re-raise at the caller, and no
+   domain may be left waiting on the failed batch. A hang here fails the
+   test through CI's timeout. *)
+let test_raise_under_skew () =
   Pool.with_pool ~jobs:4 @@ fun pool ->
   for round = 1 to 20 do
     (match
-       Pool.map ~chunks:32 pool
+       Pool.map pool
          (fun i ->
            if i = 100 then raise (Boom i);
            spin (if i < 8 then 100_000 else 10);
@@ -157,12 +108,57 @@ let test_raise_after_steal_no_deadlock () =
      with
     | _ -> Alcotest.fail "expected Boom to re-raise"
     | exception Boom 100 -> ());
-    (* no helper may be left awaiting the failed batch *)
     Alcotest.(check (list int))
       (Printf.sprintf "pool fully usable after raise, round %d" round)
       [ 2; 4; 6 ]
       (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ])
   done
+
+(* jobs in 2..4, 0-300 items, each spinning a random amount (so items
+   finish out of input order) and some raising after their spin. [map]
+   must equal [List.map] when nothing raises, re-raise the smallest
+   raising index otherwise, and run a follow-up batch either way. *)
+let map_case_gen =
+  let open QCheck2.Gen in
+  let* jobs = int_range 2 4 in
+  let* n = int_range 0 300 in
+  let* spins = list_repeat n (int_range 0 3000) in
+  (* raising indices cluster in a window, so domains run them side by side *)
+  let* raising =
+    if n = 0 then return []
+    else
+      let* start = int_range 0 (n - 1) in
+      oneof
+        [ return [];
+          list_size (int_range 1 4)
+            (int_range start (min (n - 1) (start + 8))) ]
+  in
+  return (jobs, spins, raising)
+
+let prop_map_matches_list_map =
+  QCheck2.Test.make ~name:"map = List.map; smallest raising index re-raises"
+    ~count:200 map_case_gen
+    ~print:(fun (jobs, spins, raising) ->
+      Printf.sprintf "jobs=%d items=%d raising=[%s]" jobs (List.length spins)
+        (String.concat ";" (List.map string_of_int raising)))
+    (fun (jobs, spins, raising) ->
+      let f (i, s) =
+        spin s;
+        if List.mem i raising then raise (Boom i);
+        (i * 7) + s
+      in
+      let xs = List.mapi (fun i s -> (i, s)) spins in
+      Pool.with_pool ~jobs @@ fun pool ->
+      let first_batch =
+        match raising with
+        | [] -> Pool.map pool f xs = List.map f xs
+        | _ -> (
+          match Pool.map pool f xs with
+          | _ -> false
+          | exception Boom i -> i = List.fold_left min max_int raising)
+      in
+      first_batch
+      && Pool.map pool succ (List.init 50 Fun.id) = List.init 50 succ)
 
 (* ---- epoch-merge cache equivalence ---- *)
 
@@ -301,14 +297,10 @@ let () =
           Alcotest.test_case "jobs=1 is the sequential path" `Quick
             test_jobs1_degenerates_to_sequential;
           Alcotest.test_case "rejects jobs < 1" `Quick
-            test_create_rejects_zero_jobs ] );
-      ( "stealing",
-        [ Alcotest.test_case "steals under skewed chunk costs" `Quick
-            test_steal_under_skewed_chunks;
-          Alcotest.test_case "stats are zero at jobs=1" `Quick
-            test_stats_zero_at_jobs1;
-          Alcotest.test_case "raise after steal: no helper deadlock" `Quick
-            test_raise_after_steal_no_deadlock ] );
+            test_create_rejects_zero_jobs;
+          Alcotest.test_case "raise under skew: no waiter left asleep" `Quick
+            test_raise_under_skew;
+          QCheck_alcotest.to_alcotest prop_map_matches_list_map ] );
       ( "epoch",
         [ Alcotest.test_case "merged counters = sequential counters" `Quick
             test_epoch_merge_counter_equivalence;

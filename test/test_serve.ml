@@ -208,7 +208,6 @@ let test_overloaded_rejection_and_stats () =
     in
     Alcotest.(check bool) "serve counters present" true
       (has stats "served=2 rejected=4");
-    Alcotest.(check bool) "pool line present" true (has stats "pool: tasks=");
     Alcotest.(check bool) "cache line present" true
       (has stats "cache: verdict_hits=");
     Alcotest.(check bool) "latency section present" true

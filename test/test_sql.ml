@@ -245,6 +245,39 @@ let prop_float_round_trip =
       QCheck2.assume (Float.is_finite f);
       float_const_round_trips f)
 
+(* The printer is linear: a left-deep spine of 4*10^4 conjuncts and a
+   chain of 4*10^4 NOTs each print in well under a second (joining with
+   [^] down the spine took tens of seconds), with the exact text. *)
+let test_deep_spines_print_linearly () =
+  let n = 40_000 in
+  let atom =
+    Cmp (Eq, Col (Schema.Attr.make ~rel:"S" ~name:"SNO"),
+         Const (Sqlval.Value.Int 1))
+  in
+  let spine = ref atom and chain = ref atom in
+  for _ = 2 to n do
+    spine := And (!spine, atom)
+  done;
+  for _ = 1 to n do
+    chain := Not !chain
+  done;
+  let timed label p expected =
+    let t0 = Unix.gettimeofday () in
+    let s = Sql.Pretty.pred p in
+    let dt = Unix.gettimeofday () -. t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s printed in %.3f s (< 1 s)" label dt)
+      true (dt < 1.0);
+    Alcotest.(check bool) (label ^ " text") true (s = expected)
+  in
+  (* nested operators of equal precedence are parenthesized *)
+  let rep k s = String.concat "" (List.init k (fun _ -> s)) in
+  timed "AND spine" !spine
+    (rep (n - 2) "(" ^ "S.SNO = 1 AND S.SNO = 1"
+    ^ rep (n - 2) ") AND S.SNO = 1");
+  timed "NOT chain" !chain
+    (rep (n - 1) "NOT (" ^ "NOT S.SNO = 1" ^ rep (n - 1) ")")
+
 let () =
   Alcotest.run "sql"
     [
@@ -269,6 +302,8 @@ let () =
           Alcotest.test_case "oversized integer literal" `Quick
             test_oversized_int_literal;
           Alcotest.test_case "float literals" `Quick test_float_literals;
+          Alcotest.test_case "deep spines print linearly" `Quick
+            test_deep_spines_print_linearly;
         ] );
       ( "round-trip",
         Alcotest.test_case "paper examples" `Quick test_round_trip_examples
