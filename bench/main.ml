@@ -92,16 +92,63 @@ let timed_interleaved ?(repeats = 3) fs =
       ( Option.get results.(i),
         { median_ms = med; spread_ms = nth (repeats - 1) -. List.hd runs } ))
 
-(* Bench hygiene: every BENCH_*.json header leads with the host's
-   recommended domain count and the workload's row scale (0 for
-   counter-only benches that generate no instance), so artifacts from
-   different machines and CI smoke scales are comparable at a glance. *)
+(* The checked-out commit, read from .git without running git; "unknown"
+   outside a repository (a plain export of the source). *)
+let commit () =
+  let read path =
+    try Some (String.trim (In_channel.with_open_text path In_channel.input_all))
+    with Sys_error _ -> None
+  in
+  match read ".git/HEAD" with
+  | None -> "unknown"
+  | Some head when String.length head > 5 && String.sub head 0 5 = "ref: " -> (
+    let ref_ = String.sub head 5 (String.length head - 5) in
+    match read (Filename.concat ".git" ref_) with
+    | Some sha -> sha
+    | None -> (
+      match read ".git/packed-refs" with
+      | None -> "unknown"
+      | Some packed ->
+        String.split_on_char '\n' packed
+        |> List.find_map (fun line ->
+               match String.split_on_char ' ' line with
+               | [ sha; r ] when r = ref_ -> Some sha
+               | _ -> None)
+        |> Option.value ~default:"unknown"))
+  | Some sha -> sha
+
+(* GC counters when the running experiment started (the driver resets
+   it before each one); [bench_json] reports the work done since. *)
+let gc_start = ref (Gc.quick_stat ())
+
+(* Bench hygiene: every BENCH_*.json header leads with the commit it was
+   measured at, the host's recommended domain count and the workload's
+   row scale (0 for counter-only benches that generate no instance), so
+   artifacts from different commits, machines and CI smoke scales are
+   comparable at a glance. The [gc] block is the experiment's
+   [Gc.quick_stat] deltas (collections and promoted words) and the heap's
+   high-water mark, so a slower artifact also shows what the collector
+   did. *)
 let bench_json ~bench ~row_scale fields =
+  let g0 = !gc_start and g1 = Gc.quick_stat () in
   Trace.Json.Obj
     (("bench", Trace.Json.String bench)
+    :: ("commit", Trace.Json.String (commit ()))
     :: ( "recommended_domain_count",
          Trace.Json.Int (Domain.recommended_domain_count ()) )
     :: ("row_scale", Trace.Json.Int row_scale)
+    :: ( "gc",
+         Trace.Json.Obj
+           [ ( "minor_collections",
+               Trace.Json.Int (g1.minor_collections - g0.minor_collections) );
+             ( "major_collections",
+               Trace.Json.Int (g1.major_collections - g0.major_collections) );
+             ( "promoted_words",
+               Trace.Json.Float (g1.promoted_words -. g0.promoted_words) );
+             ( "top_heap_mb",
+               Trace.Json.Float
+                 (float_of_int (g1.top_heap_words * (Sys.word_size / 8))
+                 /. 1048576.) ) ] )
     :: fields)
 
 let run_timed ?config d hosts q =
@@ -2284,7 +2331,9 @@ let () =
   List.iter
     (fun id ->
       match List.find_opt (fun (i, _, _) -> String.equal i id) experiments with
-      | Some (_, _, f) -> f ()
+      | Some (_, _, f) ->
+        gc_start := Gc.quick_stat ();
+        f ()
       | None ->
         Printf.eprintf "unknown experiment %s; known: %s\n" id
           (String.concat " " (List.map (fun (i, _, _) -> i) experiments)))

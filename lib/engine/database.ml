@@ -1,8 +1,12 @@
 module Value = Sqlval.Value
 module Truth = Sqlval.Truth
 
+(* [count] is [List.length rows], kept in step by every writer so the
+   planner's cardinality probes cost O(1); every stored row has the
+   table's arity, checked once when it enters. *)
 type entry = {
   mutable rows : Relation.row list;
+  mutable count : int;
   mutable order : string list;
 }
 
@@ -17,7 +21,8 @@ let create cat =
   let tables = Hashtbl.create 8 in
   List.iter
     (fun def ->
-      Hashtbl.replace tables def.Catalog.tbl_name { rows = []; order = [] })
+      Hashtbl.replace tables def.Catalog.tbl_name
+        { rows = []; count = 0; order = [] })
     (Catalog.tables cat);
   { cat; tables }
 
@@ -28,24 +33,35 @@ let cell t name =
   | Some c -> c
   | None -> failwith ("Database: unknown table " ^ name)
 
+let arity_of def = Schema.Relschema.arity def.Catalog.tbl_schema
+
+let bad_arity op name =
+  failwith (Printf.sprintf "Database.%s %s: bad arity" op name)
+
+(* The arity check and the row count in one pass. *)
 let check_arity t name rows =
   let def = Catalog.find_exn t.cat name in
-  let arity = Schema.Relschema.arity def.Catalog.tbl_schema in
-  List.iter
-    (fun r ->
-      if Array.length r <> arity then
-        failwith (Printf.sprintf "Database.load %s: bad arity" name))
-    rows;
-  def
+  let arity = arity_of def in
+  let count =
+    List.fold_left
+      (fun n r ->
+        if Array.length r <> arity then bad_arity "load" name else n + 1)
+      0 rows
+  in
+  (def, count)
 
-let load t name rows =
-  ignore (check_arity t name rows);
+let store t name rows count ~order =
   let c = cell t name in
   c.rows <- rows;
-  c.order <- []
+  c.count <- count;
+  c.order <- order
+
+let load t name rows =
+  let _, count = check_arity t name rows in
+  store t name rows count ~order:[]
 
 let load_sorted t name rows ~order =
-  let def = check_arity t name rows in
+  let def, count = check_arity t name rows in
   if order = [] then failwith "Database.load_sorted: empty order";
   let schema = def.Catalog.tbl_schema in
   let idxs =
@@ -74,15 +90,16 @@ let load_sorted t name rows ~order =
     | [] | [ _ ] -> ()
   in
   verify rows;
-  let c = cell t name in
-  c.rows <- rows;
-  c.order <- List.map String.uppercase_ascii order
+  store t name rows count ~order:(List.map String.uppercase_ascii order)
 
 (* A bare insert can land anywhere, so any previously verified physical
    order stops being trustworthy. *)
 let insert t name row =
   let c = cell t name in
+  if Array.length row <> arity_of (Catalog.find_exn t.cat name) then
+    bad_arity "insert" name;
   c.rows <- row :: c.rows;
+  c.count <- c.count + 1;
   c.order <- []
 
 let order t name = (cell t name).order
@@ -95,9 +112,9 @@ let table t name =
          "Database: %s is a view and holds no rows; expand it first \
           (Uniqueness.Views.expand)"
          name);
-  Relation.make def.Catalog.tbl_schema (cell t name).rows
+  { Relation.schema = def.Catalog.tbl_schema; rows = (cell t name).rows }
 
-let row_count t name = List.length (cell t name).rows
+let row_count t name = (cell t name).count
 
 type violation =
   | Null_in_primary_key of string * Relation.row

@@ -6,7 +6,11 @@
     elimination ({!Operator.unique}) trusts that rows sharing the ordered
     columns are adjacent, so order provenance starts here — an
     unverified claim of sortedness would silently drop or keep the wrong
-    rows. {!load} and {!insert} reset the order to the empty list. *)
+    rows. {!load} and {!insert} reset the order to the empty list.
+
+    Every row is checked against its table's arity once, when it enters;
+    the same pass counts it, so {!row_count} and {!table} never walk the
+    rows. *)
 
 type t
 
@@ -26,14 +30,22 @@ val load : t -> string -> Relation.row list -> unit
 val load_sorted : t -> string -> Relation.row list -> order:string list -> unit
 
 (** Insert a single row (no constraint checking — use {!validate}).
-    Forgets any recorded physical order. *)
+    Forgets any recorded physical order.
+    @raise Failure if the table is not in the catalog or arity mismatches. *)
 val insert : t -> string -> Relation.row -> unit
 
 (** The verified physical order of a table: column names, outermost sort
     column first; [[]] when nothing is known. *)
 val order : t -> string -> string list
 
+(** The stored rows under the table's schema, returned as they are: every
+    writer ({!load}, {!load_sorted}, {!insert}) checks arity when rows
+    enter, so nothing is re-checked here.
+    @raise Failure on an unknown table or a view. *)
 val table : t -> string -> Relation.t
+
+(** The number of stored rows, O(1): each writer keeps the count as it
+    stores the rows. The planner's cost probes read only this. *)
 val row_count : t -> string -> int
 
 (** Constraint-violation report. *)

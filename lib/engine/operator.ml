@@ -37,6 +37,41 @@ let of_lazy ?(order = []) ?(tick = no_op) schema produce =
 
 let of_rows ?order ?tick schema rows = of_lazy ?order ?tick schema (fun () -> rows)
 
+(* The one drain. Rows are read in order into fixed-size chunk arrays,
+   each full chunk consed onto the older ones; at end of stream the chunks
+   are unrolled back to front, so the answer list is built once, in one
+   burst of young cells, and while the stream runs the drain holds about
+   one word per row. (Building the list front to back with
+   [@tail_mod_cons] instead leaves promoted cells pointing at young ones,
+   which the remembered set keeps alive after the answer is dropped.)
+   Checks every row against the schema's arity, as [Relation.make] does. *)
+let chunk_size = 128
+
+let to_rows op =
+  let arity = Schema.Relschema.arity op.schema in
+  let rec fill chunk i full =
+    if i = chunk_size then fill (Array.make chunk_size [||]) 0 (chunk :: full)
+    else
+      match op.next () with
+      | Some r ->
+        if Array.length r <> arity then
+          invalid_arg
+            (Printf.sprintf "Operator.to_rows: row arity %d, schema arity %d"
+               (Array.length r) arity);
+        chunk.(i) <- r;
+        fill chunk (i + 1) full
+      | None -> (chunk, i, full)
+  in
+  let last, n, full = fill (Array.make chunk_size [||]) 0 [] in
+  op.close ();
+  let rec unroll chunk i acc =
+    if i < 0 then acc else unroll chunk (i - 1) (chunk.(i) :: acc)
+  in
+  List.fold_left
+    (fun acc chunk -> unroll chunk (chunk_size - 1) acc)
+    (unroll last (n - 1) [])
+    full
+
 let filter pred op =
   let rec pull () =
     match op.next () with
@@ -65,12 +100,7 @@ let product ?(tick = no_op) left right =
     match !buffer with
     | Some rows -> rows
     | None ->
-      let rec drain acc =
-        match right.next () with
-        | Some r -> drain (r :: acc)
-        | None -> List.rev acc
-      in
-      let rows = drain [] in
+      let rows = to_rows right in
       buffer := Some rows;
       rows
   in
@@ -523,14 +553,4 @@ let elided_unique ~stats op =
   in
   { op with next = pull }
 
-let to_rows op =
-  let rec drain acc =
-    match op.next () with
-    | Some r -> drain (r :: acc)
-    | None -> List.rev acc
-  in
-  let rows = drain [] in
-  op.close ();
-  rows
-
-let to_relation op = Relation.make op.schema (to_rows op)
+let to_relation op = { Relation.schema = op.schema; rows = to_rows op }

@@ -195,7 +195,14 @@ val elided_unique : stats:Stats.t -> t -> t
 
 (** {1 Sinks} *)
 
-(** Drain the stream to a list and close the operator. *)
+(** Drain the stream to a list, in arrival order, and close the operator.
+    The one drain: rows go into fixed 128-row chunk arrays and are
+    unrolled into the list once, at end of stream, so the answer is built
+    in a single pass. Each row's arity is checked against the schema on
+    the way.
+    @raise Invalid_argument on a row whose arity differs from the
+    schema's, as {!Relation.make} does. *)
 val to_rows : t -> Relation.row list
 
+(** [{ schema; rows = to_rows op }]: no second walk over the rows. *)
 val to_relation : t -> Relation.t

@@ -1397,6 +1397,108 @@ let test_load_sorted_verifies () =
   DB.insert db "T" [| v_int 0; v_int 0 |];
   Alcotest.(check (list string)) "insert resets order" [] (DB.order db "T")
 
+(* ---- table metadata, the answer drain, and plan cost vs table size ---- *)
+
+let test_row_count_tracks_writes () =
+  let cat =
+    Catalog.add_ddl Catalog.empty
+      "CREATE TABLE T (A INT NOT NULL, B INT, PRIMARY KEY (A))"
+  in
+  let db = DB.create cat in
+  let agrees what =
+    Alcotest.(check int) what
+      (List.length (DB.table db "T").Relation.rows)
+      (DB.row_count db "T")
+  in
+  agrees "empty";
+  DB.load db "T" (List.init 300 (fun i -> [| v_int i; v_int 0 |]));
+  agrees "after load";
+  DB.load_sorted db "T" [ [| v_int 1; v_int 9 |]; [| v_int 2; v_int 3 |] ]
+    ~order:[ "A" ];
+  agrees "after load_sorted";
+  DB.insert db "T" [| v_int 0; v_int 0 |];
+  agrees "after insert";
+  Alcotest.(check int) "counted" 3 (DB.row_count db "T");
+  (match DB.insert db "T" [| v_int 5 |] with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "wrong-arity insert accepted");
+  (match DB.load db "T" [ [| v_int 5; v_int 5; v_int 5 |] ] with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "wrong-arity load accepted");
+  agrees "rejected writes leave the table as it was";
+  Alcotest.(check int) "still counted" 3 (DB.row_count db "T")
+
+(* Sizes on either side of the drain's 128-row chunk boundary. *)
+let test_drain_keeps_rows () =
+  let schema = int_schema [ "A" ] in
+  List.iter
+    (fun n ->
+      let source = List.init n (fun i -> [| v_int i |]) in
+      let same what got =
+        Alcotest.(check int) (Printf.sprintf "%s: %d rows" what n) n
+          (List.length got);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: the source rows, in order (%d)" what n)
+          true
+          (List.for_all2 ( == ) source got)
+      in
+      same "to_rows" (Operator.to_rows (Operator.of_rows schema source));
+      same "to_relation"
+        (Operator.to_relation (Operator.of_rows schema source)).Relation.rows)
+    [ 0; 1; 127; 128; 129; 256; 257; 1000 ];
+  List.iter
+    (fun drain ->
+      let rows = List.init 200 (fun i -> [| v_int i |]) @ [ [| v_int 0; v_int 1 |] ] in
+      match drain (Operator.of_rows schema rows) with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "wrong-arity row drained")
+    [ (fun op -> ignore (Operator.to_rows op));
+      (fun op -> ignore (Operator.to_relation op)) ]
+
+(* Planning and compiling read one count per table, never the rows, so
+   their cost does not grow with the table. *)
+let test_plan_cost_independent_of_table_size () =
+  let cat = Workload.Datagen.catalog in
+  let queries =
+    List.map Sql.Parser.parse_query
+      [ Workload.Datagen.key_query; Workload.Datagen.order_key_query;
+        "SELECT B.K, COUNT(*) FROM BULK B GROUP BY B.K" ]
+  in
+  let plan_and_compile db q =
+    let chosen = Optimizer.Planner.choose cat (DB.row_count db) q in
+    let q = chosen.Optimizer.Planner.query in
+    let distinct = Optimizer.Distinct_plan.choose ~database:db cat q in
+    let join = Optimizer.Join_plan.choose ~database:db cat q in
+    let config =
+      { (Exec.default_config ()) with
+        Exec.distinct_impl = distinct.Optimizer.Distinct_plan.impl;
+        join_impl = join.Optimizer.Join_plan.impl }
+    in
+    let order = Optimizer.Order_plan.choose ~database:db ~config cat q in
+    let config =
+      { config with
+        Exec.join_impl = order.Optimizer.Order_plan.join_impl;
+        sort_impl = order.Optimizer.Order_plan.impl }
+    in
+    ignore (Exec.compile ~config db ~hosts:[] (Relalg.Plan.of_query cat q))
+  in
+  let median_us db =
+    let run () =
+      let t0 = Unix.gettimeofday () in
+      List.iter (plan_and_compile db) queries;
+      (Unix.gettimeofday () -. t0) *. 1e6
+    in
+    run () |> ignore;
+    let runs = List.sort compare (List.init 21 (fun _ -> run ())) in
+    List.nth runs 10
+  in
+  let small = median_us (Workload.Datagen.bulk_db ~rows:1_000 ()) in
+  let large = median_us (Workload.Datagen.bulk_db ~rows:100_000 ()) in
+  if large >= 3.0 *. Float.max small 1.0 then
+    Alcotest.failf
+      "plan+compile at 10^5 rows took %.0f us, %.1fx the %.0f us at 10^3"
+      large (large /. small) small
+
 let () =
   Alcotest.run "engine"
     [
@@ -1455,6 +1557,10 @@ let () =
             test_datagen_valid_and_deterministic;
           Alcotest.test_case "load_sorted verifies its order claim" `Quick
             test_load_sorted_verifies;
+          Alcotest.test_case "row_count tracks every write" `Quick
+            test_row_count_tracks_writes;
+          Alcotest.test_case "plan cost independent of table size" `Quick
+            test_plan_cost_independent_of_table_size;
         ] );
       ( "operator",
         [
@@ -1475,6 +1581,8 @@ let () =
             test_operator_semi_join;
           Alcotest.test_case "hash_join replays interleaved keys in build order"
             `Quick test_operator_hash_join_build_order;
+          Alcotest.test_case "drain keeps rows, order and arity check" `Quick
+            test_drain_keeps_rows;
         ] );
       ( "keyed",
         List.map QCheck_alcotest.to_alcotest
