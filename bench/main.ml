@@ -117,13 +117,30 @@ let commit () =
         |> Option.value ~default:"unknown"))
   | Some sha -> sha
 
+(* Whether the measured sources differ from [commit ()]: true or false
+   from [git status] over lib/, bin/ and bench/ (untracked files are not
+   built, so they are ignored); "unknown" without git or a repository. *)
+let dirty () =
+  match
+    let ic =
+      Unix.open_process_in
+        "git status --porcelain --untracked-files=no -- lib bin bench \
+         2>/dev/null"
+    in
+    let out = In_channel.input_all ic in
+    (Unix.close_process_in ic, out)
+  with
+  | Unix.WEXITED 0, out -> Trace.Json.Bool (out <> "")
+  | _ | (exception Unix.Unix_error _) -> Trace.Json.String "unknown"
+
 (* GC counters when the running experiment started (the driver resets
    it before each one); [bench_json] reports the work done since. *)
 let gc_start = ref (Gc.quick_stat ())
 
 (* Bench hygiene: every BENCH_*.json header leads with the commit it was
-   measured at, the host's recommended domain count and the workload's
-   row scale (0 for counter-only benches that generate no instance), so
+   measured at, whether the tree had uncommitted changes, the host's
+   recommended domain count and the workload's row scale (0 for
+   counter-only benches that generate no instance), so
    artifacts from different commits, machines and CI smoke scales are
    comparable at a glance. The [gc] block is the experiment's
    [Gc.quick_stat] deltas (collections and promoted words) and the heap's
@@ -134,6 +151,7 @@ let bench_json ~bench ~row_scale fields =
   Trace.Json.Obj
     (("bench", Trace.Json.String bench)
     :: ("commit", Trace.Json.String (commit ()))
+    :: ("dirty", dirty ())
     :: ( "recommended_domain_count",
          Trace.Json.Int (Domain.recommended_domain_count ()) )
     :: ("row_scale", Trace.Json.Int row_scale)

@@ -171,9 +171,9 @@ let explain_cmd =
   let run_arg =
     Arg.(value & flag
          & info [ "run" ]
-             ~doc:"Also execute the as-written and chosen forms on a \
-                   generated supplier database and fold the engine counters \
-                   into the report (built-in paper schema only).")
+             ~doc:"Also execute the planned query once on a generated \
+                   supplier database and fold the engine counters into the \
+                   report (built-in paper schema only).")
   in
   let size_arg =
     Arg.(value & opt int 300
@@ -286,10 +286,13 @@ let run_cmd =
           List.fold_left add_statement (Engine.Database.catalog db) views
         in
         let hosts = List.map parse_binding sets in
-        let { Optimizer.Physical.query = q; config = cfg; distinct; join; order } =
+        let { Optimizer.Physical.strategy; query = q; config = cfg; distinct;
+              join; order } =
           Optimizer.Physical.plan ~database:db ~logic cat
             (Sql.Parser.parse_query sql)
         in
+        Format.printf "strategy: %s — %s@." strategy.Optimizer.Planner.name
+          (Sql.Pretty.query q);
         Format.printf "distinct strategy: %s — %s@."
           distinct.Optimizer.Distinct_plan.name distinct.reason;
         Format.printf "join strategy: %s — %s@." join.Optimizer.Join_plan.name
@@ -326,8 +329,9 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Execute a query on a generated supplier database under the \
-             physical plan the DISTINCT, join and ORDER BY planners pick.")
+       ~doc:"Execute a query on a generated supplier database: the \
+             cheapest of the query and its uniqueness rewrites, under the \
+             DISTINCT, join and ORDER BY strategies planned for it.")
     Term.(const run $ sql_arg $ ddl_arg $ view_arg $ set_arg $ size_arg
           $ limit_arg $ logic_arg)
 

@@ -821,11 +821,11 @@ let order_strategies (c : Case.t) =
 
 (* ---- the composed physical plan ---- *)
 
-(* [Optimizer.Physical.plan] composes the three authorities, and each
-   certificate holds only under the configuration it was probed in; the
-   per-authority oracles above probe one authority at a time. This one
-   runs the composed configuration against the all-baseline one (sort
-   DISTINCT, nested join, materializing sort) on the case query, its
+(* [Optimizer.Physical.plan] runs the planner's rewrite under the three
+   authorities' composed configuration; the oracles above probe one
+   authority at a time. This one runs the plan against the as-written
+   query under the all-baseline one (sort DISTINCT, nested join,
+   materializing sort, nested-loop EXISTS) on the case query, its
    DISTINCT form, and the [order_variants] of both: every planned result
    must be bag-equal to the baseline, and an ordered one must arrive
    sorted on its keys. *)
@@ -858,7 +858,8 @@ let plan_composition ?cache (c : Case.t) =
     let base = Engine.Exec.run_query ~config:(baseline ()) db ~hosts form in
     let fail what =
       Some
-        (Printf.sprintf "instance %d: planned %s/%s/%s %s on %s" i
+        (Printf.sprintf "instance %d: planned %s, %s/%s/%s %s on %s" i
+           p.Optimizer.Physical.strategy.Optimizer.Planner.name
            p.Optimizer.Physical.distinct.Optimizer.Distinct_plan.name
            p.Optimizer.Physical.join.Optimizer.Join_plan.name
            p.Optimizer.Physical.order.Optimizer.Order_plan.name what

@@ -4,8 +4,6 @@ type section = {
 }
 
 type execution = {
-  label : string;
-  sql : string;
   rows : int;
   counters : (string * int) list;
 }
@@ -14,9 +12,8 @@ type report = {
   query : Sql.Ast.query;
   sections : section list;
   rewritten : Sql.Ast.query;
-  chosen : string;
-  chosen_query : Sql.Ast.query;
-  executions : execution list;
+  chosen : Optimizer.Planner.strategy option;
+  execution : execution option;
 }
 
 (* Top-level query specifications with a label per set-operation operand
@@ -46,16 +43,6 @@ let analysis_section title analyze q =
       (labelled_specs "" q)
   in
   { title; nodes }
-
-let run_execution database hosts label
-    { Optimizer.Physical.query = q; config; _ } =
-  let r = Engine.Exec.run_query ~config database ~hosts q in
-  {
-    label;
-    sql = Sql.Pretty.query q;
-    rows = Engine.Relation.cardinality r;
-    counters = Engine.Stats.fields config.Engine.Exec.stats;
-  }
 
 let cache_section cache =
   match cache with
@@ -97,8 +84,7 @@ let latency_section summaries =
         summaries;
   }
 
-let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
-    query =
+let explain ?stats ?database ?(hosts = []) ?cache ?latency cat query =
   let algorithm1 =
     analysis_section "algorithm1"
       (fun ~trace spec ->
@@ -122,16 +108,13 @@ let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
     Uniqueness.Rewrite.apply_all ?cache ~trace:rewrite_trace cat query
   in
   let planner_trace = Trace.make () in
-  let chosen =
-    Optimizer.Planner.choose ?cache ~trace:planner_trace cat stats query
-  in
   let distinct_trace = Trace.make () in
   let join_trace = Trace.make () in
   let order_trace = Trace.make () in
   let planned =
     match
-      Optimizer.Physical.plan ?cache ~distinct_trace ~join_trace ~order_trace
-        ?database ~stats cat query
+      Optimizer.Physical.plan ?cache ~planner_trace ~distinct_trace ~join_trace
+        ~order_trace ?database ?stats cat query
     with
     | p -> Some p
     | exception Uniqueness.Views.Unsupported_view why ->
@@ -140,19 +123,14 @@ let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
            "no physical plan: the query cannot run");
       None
   in
-  let executions =
+  let execution =
     match (database, planned) with
-    | None, _ | _, None -> []
-    | Some db, Some planned ->
-      (* the narrated plan runs the query as written; a rewritten query
-         gets its own plan *)
-      let as_written = run_execution db hosts "as-written" planned in
-      if chosen.Optimizer.Planner.query = query then [ as_written ]
-      else
-        [ as_written;
-          run_execution db hosts "chosen"
-            (Optimizer.Physical.plan ~database:db ~stats cat
-               chosen.Optimizer.Planner.query) ]
+    | Some db, Some { Optimizer.Physical.query = q; config; _ } ->
+      let r = Engine.Exec.run_query ~config db ~hosts q in
+      Some
+        { rows = Engine.Relation.cardinality r;
+          counters = Engine.Stats.fields config.Engine.Exec.stats }
+    | None, _ | _, None -> None
   in
   {
     query;
@@ -170,9 +148,8 @@ let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
         | None -> []
         | Some summaries -> [ latency_section summaries ]);
     rewritten;
-    chosen = chosen.Optimizer.Planner.name;
-    chosen_query = chosen.Optimizer.Planner.query;
-    executions;
+    chosen = Option.map (fun p -> p.Optimizer.Physical.strategy) planned;
+    execution;
   }
 
 (* ---- rendering ---- *)
@@ -187,28 +164,18 @@ let pp ppf r =
       else Format.fprintf ppf "%a@," Trace.pp s.nodes)
     r.sections;
   Format.fprintf ppf "@,rewritten: %s@," (Sql.Pretty.query r.rewritten);
-  Format.fprintf ppf "chosen: %s@," r.chosen;
-  if r.executions <> [] then begin
-    Format.fprintf ppf "@,execution@,---------@,";
-    List.iter
-      (fun e ->
-        Format.fprintf ppf "%s: %d row(s)@," e.label e.rows;
-        List.iter
-          (fun (k, v) -> Format.fprintf ppf "    %s = %d@," k v)
-          e.counters)
-      r.executions
-  end;
+  Option.iter
+    (fun c -> Format.fprintf ppf "chosen: %s@," c.Optimizer.Planner.name)
+    r.chosen;
+  Option.iter
+    (fun e ->
+      Format.fprintf ppf "@,execution@,---------@,%d row(s)@," e.rows;
+      List.iter (fun (k, v) -> Format.fprintf ppf "    %s = %d@," k v) e.counters)
+    r.execution;
   Format.fprintf ppf "@]"
 
 let to_json r =
   let open Trace.Json in
-  let execution e =
-    Obj
-      [ ("label", String e.label);
-        ("sql", String e.sql);
-        ("rows", Int e.rows);
-        ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) e.counters)) ]
-  in
   Obj
     ([ ("query", String (Sql.Pretty.query r.query));
        ("sections",
@@ -219,9 +186,18 @@ let to_json r =
                  [ ("title", String s.title);
                    ("nodes", Trace.to_json s.nodes) ])
              r.sections));
-       ("rewritten", String (Sql.Pretty.query r.rewritten));
-       ("chosen", String r.chosen);
-       ("chosen_query", String (Sql.Pretty.query r.chosen_query)) ]
+       ("rewritten", String (Sql.Pretty.query r.rewritten)) ]
+     @ (match r.chosen with
+       | None -> []
+       | Some c ->
+         [ ("chosen", String c.Optimizer.Planner.name);
+           ("chosen_query", String (Sql.Pretty.query c.Optimizer.Planner.query)) ])
      @
-     if r.executions = [] then []
-     else [ ("execution", List (List.map execution r.executions)) ])
+     match r.execution with
+     | None -> []
+     | Some e ->
+       [ ( "execution",
+           Obj
+             [ ("rows", Int e.rows);
+               ( "counters",
+                 Obj (List.map (fun (k, v) -> (k, Int v)) e.counters) ) ] ) ])

@@ -19,10 +19,8 @@ type section = {
   nodes : Trace.node list;
 }
 
-(** Execution counters for one executed form of the query. *)
+(** Execution counters of the one plan that ran. *)
 type execution = {
-  label : string;              (** ["as-written"] or ["chosen"] *)
-  sql : string;
   rows : int;                  (** result cardinality *)
   counters : (string * int) list;  (** {!Engine.Stats.fields} *)
 }
@@ -31,19 +29,21 @@ type report = {
   query : Sql.Ast.query;       (** the query as written *)
   sections : section list;     (** decision traces, one per layer *)
   rewritten : Sql.Ast.query;   (** after [Rewrite.apply_all] *)
-  chosen : string;             (** name of the planner's strategy *)
-  chosen_query : Sql.Ast.query;
-  executions : execution list; (** empty unless [~database] was given *)
+  chosen : Optimizer.Planner.strategy option;
+      (** the planner's pick, the query that runs; [None] when a view
+          cannot be merged and there is no plan *)
+  execution : execution option; (** [None] unless [~database] was given *)
 }
 
 (** Build the full report.
 
-    [stats] is the planner's table-cardinality callback (default: 1000 rows
-    per table). The strategy sections narrate {!Optimizer.Physical.plan}
-    of the view-expanded query — the plan [uniqsql run] executes. With
-    [~database], that plan runs the as-written form, the chosen form (when
-    the planner rewrote the query) runs under its own physical plan, and
-    their {!Engine.Stats} counters are folded into the report; [hosts]
+    [stats] is the table-cardinality callback (default: 1000 rows per
+    table); with [~database] its row counts replace it. The planner,
+    distinct, join and order sections narrate one
+    {!Optimizer.Physical.plan} — the plan [uniqsql run] executes — and
+    the planner section keeps every candidate's cost, the as-written
+    form's included. With [~database], that plan's query runs once and
+    its {!Engine.Stats} counters are folded into the report; [hosts]
     binds host variables for that run. A query whose views cannot be
     merged has no physical plan: a [physical.skipped] node says why, and
     nothing runs.

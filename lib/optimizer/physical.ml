@@ -1,4 +1,5 @@
 type t = {
+  strategy : Planner.strategy;
   query : Sql.Ast.query;
   config : Engine.Exec.config;
   distinct : Distinct_plan.choice;
@@ -6,9 +7,19 @@ type t = {
   order : Order_plan.choice;
 }
 
-let plan ?cache ?distinct_trace ?join_trace ?order_trace ?database ?stats
-    ?(logic = Sqlval.Logic_mode.default) cat q =
-  let query = Uniqueness.Views.expand_query cat q in
+let plan ?cache ?planner_trace ?distinct_trace ?join_trace ?order_trace
+    ?database ?stats ?(logic = Sqlval.Logic_mode.default) cat q =
+  let table_stats =
+    match (database, stats) with
+    | Some db, _ -> Engine.Database.row_count db
+    | None, Some s -> s
+    | None, None -> fun _ -> 1000
+  in
+  let strategy =
+    Planner.choose ?cache ?trace:planner_trace cat table_stats
+      (Uniqueness.Views.expand_query cat q)
+  in
+  let query = strategy.Planner.query in
   let distinct =
     Distinct_plan.choose ?cache ?trace:distinct_trace ?database cat query
   in
@@ -17,13 +28,15 @@ let plan ?cache ?distinct_trace ?join_trace ?order_trace ?database ?stats
     { (Engine.Exec.default_config ()) with
       Engine.Exec.logic;
       distinct_impl = distinct.Distinct_plan.impl;
-      join_impl = join.Join_plan.impl }
+      join_impl = join.Join_plan.impl;
+      exists_impl = Engine.Exec.Indexed_exists }
   in
   let order =
     Order_plan.choose ?trace:order_trace ?database ~config:probed ?stats cat
       query
   in
-  { query;
+  { strategy;
+    query;
     config =
       { probed with
         Engine.Exec.join_impl = order.Order_plan.join_impl;

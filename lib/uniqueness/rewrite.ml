@@ -399,9 +399,11 @@ let join_to_subquery cat (q : query_spec) =
           Sql.Ast.plain_spec ~select:Star ~from:inner_from
             ~where:(conj inner_conjs) ()
         in
+        (* ORDER BY keys are select items, so they stay in [outer_from] *)
+        let order_by = List.map (qualify_scalar cat ~from:q.from) q.order_by in
         let rewritten distinct =
           Spec
-            (plain_spec ~distinct ~select ~from:outer_from
+            (plain_spec ~distinct ~order_by ~select ~from:outer_from
                ~where:(conj (outer_conjs @ [ Exists sub ]))
                ())
         in

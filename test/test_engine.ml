@@ -1465,20 +1465,8 @@ let test_plan_cost_independent_of_table_size () =
         "SELECT B.K, COUNT(*) FROM BULK B GROUP BY B.K" ]
   in
   let plan_and_compile db q =
-    let chosen = Optimizer.Planner.choose cat (DB.row_count db) q in
-    let q = chosen.Optimizer.Planner.query in
-    let distinct = Optimizer.Distinct_plan.choose ~database:db cat q in
-    let join = Optimizer.Join_plan.choose ~database:db cat q in
-    let config =
-      { (Exec.default_config ()) with
-        Exec.distinct_impl = distinct.Optimizer.Distinct_plan.impl;
-        join_impl = join.Optimizer.Join_plan.impl }
-    in
-    let order = Optimizer.Order_plan.choose ~database:db ~config cat q in
-    let config =
-      { config with
-        Exec.join_impl = order.Optimizer.Order_plan.join_impl;
-        sort_impl = order.Optimizer.Order_plan.impl }
+    let { Optimizer.Physical.query = q; config; _ } =
+      Optimizer.Physical.plan ~database:db cat q
     in
     ignore (Exec.compile ~config db ~hosts:[] (Relalg.Plan.of_query cat q))
   in

@@ -248,17 +248,23 @@ let supplier_db () =
 
 let view_ddl = "CREATE VIEW V AS SELECT S.SNO, S.SNAME FROM SUPPLIER S"
 
-(* The executed config is the authorities' choices, the ORDER BY one
-   probed under the DISTINCT and join ones: a hash DISTINCT scrambles
-   arrival order, so the sort stays; an elided one keeps the key order,
-   so the sort goes. *)
+(* The executed config is the authorities' choices for the query the
+   planner picked, the ORDER BY one probed under the DISTINCT and join
+   ones: a hash DISTINCT scrambles arrival order, so the sort stays; a
+   key-covered DISTINCT is removed by the Theorem 1 rewrite, so the scan
+   keeps its key order and the sort goes. *)
 let test_physical_composes () =
   let db = supplier_db () in
   let cat = Engine.Database.catalog db in
   List.iter
-    (fun (sql, distinct, order) ->
+    (fun (sql, strategy, distinct, order) ->
       let p = Optimizer.Physical.plan ~database:db cat (parse sql) in
       let c = p.Optimizer.Physical.config in
+      Alcotest.(check string) (sql ^ ": strategy") strategy
+        p.Optimizer.Physical.strategy.Optimizer.Planner.name;
+      Alcotest.(check bool) (sql ^ ": plans the chosen query") true
+        (p.Optimizer.Physical.query
+         = p.Optimizer.Physical.strategy.Optimizer.Planner.query);
       Alcotest.(check string) (sql ^ ": distinct") distinct
         p.Optimizer.Physical.distinct.Optimizer.Distinct_plan.name;
       Alcotest.(check string) (sql ^ ": order") order
@@ -269,11 +275,12 @@ let test_physical_composes () =
          && c.Engine.Exec.sort_impl
             = p.Optimizer.Physical.order.Optimizer.Order_plan.impl
          && c.Engine.Exec.join_impl
-            = p.Optimizer.Physical.order.Optimizer.Order_plan.join_impl))
-    [ ("SELECT DISTINCT P.COLOR FROM PARTS P ORDER BY P.COLOR", "hash-unique",
-       "materialize-sort");
+            = p.Optimizer.Physical.order.Optimizer.Order_plan.join_impl
+         && c.Engine.Exec.exists_impl = Engine.Exec.Indexed_exists))
+    [ ("SELECT DISTINCT P.COLOR FROM PARTS P ORDER BY P.COLOR", "as-written",
+       "hash-unique", "materialize-sort");
       ("SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S ORDER BY S.SNO",
-       "elided-unique", "elided-sort") ]
+       "distinct-removed (Alg. 1)", "none", "elided-sort") ]
 
 (* Views are merged before planning: the plan is made for, and runs,
    the query over base tables. *)
@@ -299,6 +306,66 @@ let test_physical_expands_views () =
       p.Optimizer.Physical.query
   in
   Alcotest.(check int) "every supplier" 40 (Engine.Relation.cardinality r)
+
+(* The one entry point runs what the planner chose: Example 7's EXISTS
+   is unnested (Theorem 2 / Corollary 1) into a join, so the plan reads
+   each table about once instead of probing PARTS per supplier, and
+   returns the as-written query's bag. *)
+let test_physical_runs_chosen_rewrite () =
+  let suppliers = 2_000 and parts_per_supplier = 5 in
+  let db =
+    Workload.Generator.supplier_db ~suppliers ~parts_per_supplier ()
+  in
+  let cat = Engine.Database.catalog db in
+  let q =
+    parse
+      "SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S WHERE EXISTS (SELECT * FROM \
+       PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')"
+  in
+  let p = Optimizer.Physical.plan ~database:db cat q in
+  Alcotest.(check string) "strategy" "subquery-to-join"
+    p.Optimizer.Physical.strategy.Optimizer.Planner.name;
+  let planned =
+    Engine.Exec.run_query ~config:p.Optimizer.Physical.config db ~hosts:[]
+      p.Optimizer.Physical.query
+  in
+  let base = Engine.Exec.run_query db ~hosts:[] q in
+  Alcotest.(check bool) "bag-equal to the baseline run" true
+    (Engine.Relation.equal_bags base planned);
+  let scanned =
+    p.Optimizer.Physical.config.Engine.Exec.stats.Engine.Stats.rows_scanned
+  in
+  let bound = 2 * (suppliers + (suppliers * parts_per_supplier)) in
+  if scanned > bound then
+    Alcotest.failf "rows scanned %d exceed 2 x (suppliers + parts) = %d"
+      scanned bound
+
+(* A NOT EXISTS stays nested (no rewrite applies) and runs indexed: one
+   subquery evaluation per outer row, as in the nested-loop baseline,
+   and the same bag. *)
+let test_physical_indexes_exists () =
+  let db = Workload.Generator.supplier_db ~suppliers:200 ~parts_per_supplier:5 () in
+  let cat = Engine.Database.catalog db in
+  let q =
+    parse
+      "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE NOT EXISTS (SELECT * FROM \
+       PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')"
+  in
+  let p = Optimizer.Physical.plan ~database:db cat q in
+  let c = p.Optimizer.Physical.config in
+  Alcotest.(check string) "strategy" "as-written"
+    p.Optimizer.Physical.strategy.Optimizer.Planner.name;
+  Alcotest.(check bool) "indexed EXISTS" true
+    (c.Engine.Exec.exists_impl = Engine.Exec.Indexed_exists);
+  let planned = Engine.Exec.run_query ~config:c db ~hosts:[] p.Optimizer.Physical.query in
+  let base_config = Engine.Exec.default_config () in
+  let base = Engine.Exec.run_query ~config:base_config db ~hosts:[] q in
+  Alcotest.(check int) "rows" 56 (Engine.Relation.cardinality planned);
+  Alcotest.(check bool) "bag-equal to the baseline run" true
+    (Engine.Relation.equal_bags base planned);
+  Alcotest.(check int) "subquery evaluations"
+    base_config.Engine.Exec.stats.Engine.Stats.subquery_evals
+    c.Engine.Exec.stats.Engine.Stats.subquery_evals
 
 (* Order_plan never raises: a query the instance cannot run (an
    unexpanded view) degrades to the materializing sort. *)
@@ -363,6 +430,10 @@ let () =
             test_physical_composes;
           Alcotest.test_case "plans the view-expanded query" `Quick
             test_physical_expands_views;
+          Alcotest.test_case "runs the chosen rewrite (Example 7)" `Quick
+            test_physical_runs_chosen_rewrite;
+          Alcotest.test_case "indexes a NOT EXISTS" `Quick
+            test_physical_indexes_exists;
           Alcotest.test_case "order plan degrades on unexpanded views" `Quick
             test_order_plan_degrades_on_views;
         ] );

@@ -182,6 +182,31 @@ let test_join_to_subquery_needs_uniqueness () =
   Alcotest.(check bool) "applied for DISTINCT" true od.R.applied;
   check_equivalent "equivalent" (Spec qd) od.R.result
 
+(* The moved table leaves the FROM list, the ORDER BY stays: its keys are
+   select items, so they name outer tables, qualified like the
+   projection. *)
+let test_join_to_subquery_keeps_order_by () =
+  let q =
+    parse_spec
+      "SELECT DISTINCT COLOR FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO \
+       ORDER BY COLOR"
+  in
+  let o = R.join_to_subquery catalog q in
+  Alcotest.(check bool) "applied" true o.R.applied;
+  (match o.R.result with
+   | Spec s ->
+     Alcotest.(check bool) "ORDER BY kept, qualified" true
+       (s.order_by = [ Col (Schema.Attr.make ~rel:"P" ~name:"COLOR") ])
+   | Setop _ -> Alcotest.fail "shape");
+  check_equivalent "equivalent" (Spec q) o.R.result;
+  let rows = (Engine.Exec.run_query (db ()) ~hosts o.R.result).Engine.Relation.rows in
+  Alcotest.(check bool) "sorted on the key" true
+    (rows <> []
+     && List.for_all2
+          (fun a b -> Value.compare_total a.(0) b.(0) <= 0)
+          (List.filteri (fun i _ -> i < List.length rows - 1) rows)
+          (List.tl rows))
+
 (* ---- 5.3 intersect / except ---- *)
 
 let example9 =
@@ -413,6 +438,8 @@ let () =
             test_example10_join_to_subquery;
           Alcotest.test_case "requires uniqueness for ALL" `Quick
             test_join_to_subquery_needs_uniqueness;
+          Alcotest.test_case "keeps ORDER BY" `Quick
+            test_join_to_subquery_keeps_order_by;
         ] );
       ( "setops",
         [
