@@ -1851,8 +1851,196 @@ let experiment_distinct_scale () =
    the unique-build hash join (build columns cover the dimension key,
    certified by Algorithm 1) must not lose to the generic bucket-list
    build on the same join order, and the cost-ordered plan must not lose
-   to FROM-clause order. Row count is overridable for CI smoke via
+   to FROM-clause order. A second row ([attr_join_row]) runs a non-key
+   join whose FROM order builds the large side and measures per-row
+   build and probe times. Row count is overridable for CI smoke via
    JOIN_SCALE_ROWS (default 1,000,000). *)
+
+(* The second JOIN_SCALE row: a non-key join that lists the small table
+   first in FROM (uniqbench's attr_join shape), where the join planner's
+   only decision is which side to build. *)
+let attr_join_query =
+  "SELECT F.ID, D1.K FROM DIM1 D1, FACT F WHERE D1.ATTR = F.FK1"
+
+(* Per-row hash-join build and probe times on the star instance, the
+   measurement behind [Optimizer.Cost.build_weight]. Each contender is an
+   [Operator.hash_join] drained over in-memory FACT rows, minus a plain
+   drain of the same rows:
+   - build: FACT built on FK1 ([Relation.Keyed.group]), forced by one
+     probe row;
+   - unique build: FACT built on its key ID (one flat row per key);
+   - probe: FACT streamed on ID into a DIM1 table built on ATTR, which
+     holds fewer than a thousand distinct values, so almost every probe
+     misses and nearly nothing is emitted. *)
+let calibrate_hash_join db ~repeats =
+  let fact = Engine.Database.table db "FACT" in
+  let dim = Engine.Database.table db "DIM1" in
+  let n = float_of_int (Engine.Relation.cardinality fact) in
+  let source (r : Engine.Relation.t) =
+    Engine.Operator.of_rows r.Engine.Relation.schema r.Engine.Relation.rows
+  in
+  let drain op =
+    let rec go k =
+      match op.Engine.Operator.next () with None -> k | Some _ -> go (k + 1)
+    in
+    go 0
+  in
+  let one_dim_row () =
+    Engine.Operator.of_rows dim.Engine.Relation.schema
+      [ List.hd dim.Engine.Relation.rows ]
+  in
+  let join ?unique_build ~probe_key ~build_key probe build () =
+    drain
+      (Engine.Operator.hash_join ~stats:(Engine.Stats.create ()) ?unique_build
+         ~probe_key ~build_key (probe ()) (build ()))
+  in
+  let timings =
+    timed_interleaved ~repeats
+      [ (fun () -> drain (source fact));
+        join ~probe_key:[ 1 ] ~build_key:[ 1 ] one_dim_row (fun () ->
+            source fact);
+        join ~unique_build:true ~probe_key:[ 0 ] ~build_key:[ 0 ] one_dim_row
+          (fun () -> source fact);
+        join ~probe_key:[ 0 ] ~build_key:[ 1 ]
+          (fun () -> source fact)
+          (fun () -> source dim) ]
+  in
+  match List.map (fun (_, (t : timing)) -> t.median_ms) timings with
+  | [ scan; build; unique; probe ] ->
+    let per_row ms = Float.max 0.0 ((ms -. scan) *. 1e6 /. n) in
+    (scan, per_row build, per_row unique, per_row probe)
+  | _ -> assert false
+
+let attr_join_row db ~rows ~repeats =
+  let cat = Engine.Database.catalog db in
+  let q = parse attr_join_query in
+  Printf.printf "\n%s\n(non-key join, small table first in FROM)\n"
+    attr_join_query;
+  let choice = Optimizer.Join_plan.choose ~database:db cat q in
+  Printf.printf "planner: %s\n" choice.Optimizer.Join_plan.reason;
+  let order, reversed =
+    match choice.Optimizer.Join_plan.impl with
+    | Engine.Exec.Planned_join
+        ({ Engine.Exec.jo_first; jo_steps = [ step ] } as o) ->
+      ( o,
+        { Engine.Exec.jo_first = step.Engine.Exec.js_leaf;
+          jo_steps = [ { step with Engine.Exec.js_leaf = jo_first } ] } )
+    | _ -> failwith "JOIN_SCALE: attr join was not planned as one join step"
+  in
+  let leaf_name i = if i = 0 then "D1" else "F" in
+  let table i = if i = 0 then "DIM1" else "FACT" in
+  let build_leaf = (List.hd order.Engine.Exec.jo_steps).Engine.Exec.js_leaf in
+  let probe_leaf = order.Engine.Exec.jo_first in
+  let build_rows = Engine.Database.row_count db (table build_leaf)
+  and probe_rows = Engine.Database.row_count db (table probe_leaf) in
+  let smaller_build = build_rows <= probe_rows in
+  Printf.printf
+    "planned build: %s (%d rows), probe: %s (%d rows); build is the smaller \
+     side: %b\n"
+    (leaf_name build_leaf) build_rows (leaf_name probe_leaf) probe_rows
+    smaller_build;
+  if not smaller_build then
+    failwith "JOIN_SCALE: attr join builds the larger side";
+  let keep_rows = rows <= 100_000 in
+  let configs =
+    List.map
+      (fun (name, impl) ->
+        ( name,
+          { (Engine.Exec.default_config ()) with Engine.Exec.join_impl = impl }
+        ))
+      [ ("planned", Engine.Exec.Planned_join order);
+        ("from-order", Engine.Exec.Hash_join);
+        ("reversed-build", Engine.Exec.Planned_join reversed) ]
+  in
+  let measured =
+    timed_interleaved ~repeats
+      (List.map
+         (fun (_, config) () ->
+           Engine.Stats.reset config.Engine.Exec.stats;
+           let r = Engine.Exec.run_query ~config db ~hosts:[] q in
+           ( Engine.Relation.cardinality r,
+             if keep_rows then Some r else None ))
+         configs)
+  in
+  Printf.printf "%20s %10s %12s %10s %12s %12s\n" "plan" "rows out"
+    "median (ms)" "spread" "build rows" "probe rows";
+  let summaries =
+    List.map2
+      (fun (name, config) ((card, rel), (t : timing)) ->
+        let st = config.Engine.Exec.stats in
+        Printf.printf "%20s %10d %12.1f %10.1f %12d %12d\n" name card
+          t.median_ms t.spread_ms st.Engine.Stats.join_build_rows
+          st.Engine.Stats.join_probe_rows;
+        (name, rel, card, t, st))
+      configs measured
+  in
+  let planned, from_order =
+    match summaries with p :: f :: _ -> (p, f) | _ -> assert false
+  in
+  List.iter
+    (fun (_, rel, card, _, _) ->
+      let _, rel0, card0, _, _ = planned in
+      if card <> card0 then
+        failwith "JOIN_SCALE: attr join plans disagree on output cardinality";
+      match (rel, rel0) with
+      | Some r, Some r0 when not (Engine.Relation.equal_bags r r0) ->
+        failwith "JOIN_SCALE: attr join plans disagree on output bags"
+      | _ -> ())
+    summaries;
+  let ms (_, _, _, (t : timing), _) = t.median_ms in
+  let spread (_, _, _, (t : timing), _) = t.spread_ms in
+  let tolerance = Float.max (spread planned) (spread from_order) in
+  let planned_within_noise = ms planned <= ms from_order +. tolerance in
+  Printf.printf
+    "planned <= FROM order (within spread): %b (%.1f vs %.1f ms, spread \
+     tolerance %.1f)\n"
+    planned_within_noise (ms planned) (ms from_order) tolerance;
+  if not planned_within_noise then
+    failwith
+      "JOIN_SCALE: planned attr join lost to FROM order by more than the \
+       run-to-run spread";
+  let scan_ms, build_ns, unique_ns, probe_ns = calibrate_hash_join db ~repeats:7 in
+  Printf.printf
+    "hash join per row (%d FACT rows, drain %.1f ms subtracted): build %.1f \
+     ns, unique build %.1f ns, probe %.1f ns; build/probe %.2f (model \
+     build_weight %.1f)\n"
+    rows scan_ms build_ns unique_ns probe_ns (build_ns /. probe_ns)
+    Optimizer.Cost.build_weight;
+  let measurement_json (name, _, card, (t : timing), (st : Engine.Stats.t)) =
+    Trace.Json.Obj
+      [ ("plan", Trace.Json.String name);
+        ("rows_out", Trace.Json.Int card);
+        ("median_ms", Trace.Json.Float t.median_ms);
+        ("spread_ms", Trace.Json.Float t.spread_ms);
+        ("join_build_rows", Trace.Json.Int st.Engine.Stats.join_build_rows);
+        ("join_probe_rows", Trace.Json.Int st.Engine.Stats.join_probe_rows);
+        ("join_strategy", Trace.Json.String st.Engine.Stats.join_strategy) ]
+  in
+  Trace.Json.Obj
+    [ ("query", Trace.Json.String attr_join_query);
+      ( "planner",
+        Trace.Json.Obj
+          [ ("reason", Trace.Json.String choice.Optimizer.Join_plan.reason);
+            ("build", Trace.Json.String (leaf_name build_leaf));
+            ("build_rows", Trace.Json.Int build_rows);
+            ("probe", Trace.Json.String (leaf_name probe_leaf));
+            ("probe_rows", Trace.Json.Int probe_rows);
+            ("est_cost", Trace.Json.Float choice.Optimizer.Join_plan.est_cost);
+            ( "from_order_cost",
+              Trace.Json.Float choice.Optimizer.Join_plan.from_order_cost ) ] );
+      ("measurements", Trace.Json.List (List.map measurement_json summaries));
+      ("build_is_smaller_side", Trace.Json.Bool smaller_build);
+      ("planned_within_noise", Trace.Json.Bool planned_within_noise);
+      ("spread_tolerance_ms", Trace.Json.Float tolerance);
+      ( "calibration",
+        Trace.Json.Obj
+          [ ("drain_ms", Trace.Json.Float scan_ms);
+            ("build_ns_per_row", Trace.Json.Float build_ns);
+            ("unique_build_ns_per_row", Trace.Json.Float unique_ns);
+            ("probe_ns_per_row", Trace.Json.Float probe_ns);
+            ("build_probe_ratio", Trace.Json.Float (build_ns /. probe_ns));
+            ("model_build_weight", Trace.Json.Float Optimizer.Cost.build_weight)
+          ] ) ]
 
 let experiment_join_scale () =
   section
@@ -2023,7 +2211,8 @@ let experiment_join_scale () =
         ("unique_within_noise", Trace.Json.Bool unique_within_noise);
         ("spread_tolerance_ms", Trace.Json.Float tolerance);
         ( "cost_ordered_le_from_order",
-          Trace.Json.Bool cost_ordered_le_from_order ) ]
+          Trace.Json.Bool cost_ordered_le_from_order );
+        ("attr_join", attr_join_row db ~rows ~repeats) ]
   in
   let oc = open_out "BENCH_join_scale.json" in
   output_string oc (Trace.Json.to_string_pretty json);

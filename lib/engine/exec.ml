@@ -791,7 +791,7 @@ let run_query ?config db ~hosts q =
 
 let run_sql ?config db ~hosts s = run_query ?config db ~hosts (Sql.Parser.parse_query s)
 
-let distinct_stream db q =
+let distinct_stream ?config db q =
   match
     (* the DISTINCT happens below any ORDER BY; probe the stream feeding it *)
     match Relalg.Plan.of_query (Database.catalog db) q with
@@ -801,7 +801,9 @@ let distinct_stream db q =
   | Relalg.Plan.Project (Sql.Ast.Distinct, items, sub) ->
     (* compile (never execute) the stream feeding the DISTINCT: project
        with ALL so the probe sees the order arriving at the dedup point *)
-    let op = compile db ~hosts:[] (Relalg.Plan.Project (Sql.Ast.All, items, sub)) in
+    let op =
+      compile ?config db ~hosts:[] (Relalg.Plan.Project (Sql.Ast.All, items, sub))
+    in
     Some (op.Operator.schema, op.Operator.order)
   | _ -> None
   | exception Failure _ -> None

@@ -169,9 +169,14 @@ val run_sql :
 (** Schema and verified order of the stream that would arrive at the
     query's top-level DISTINCT, or [None] when the query does not plan to a
     DISTINCT projection (aggregates, set operations, SELECT ALL). Pure:
-    compiles but never executes. *)
+    compiles but never executes. As for {!order_stream}, [config] must be
+    the configuration the query will run under (its join order decides
+    the arrival order), passed with fresh [stats]. *)
 val distinct_stream :
-  Database.t -> Sql.Ast.query -> (Schema.Relschema.t * Schema.Attr.t list) option
+  ?config:config ->
+  Database.t ->
+  Sql.Ast.query ->
+  (Schema.Relschema.t * Schema.Attr.t list) option
 
 (** Requested sort keys, schema, and verified order of the stream feeding
     the query's [ORDER BY], or [None] when the query has no [Sort] node.

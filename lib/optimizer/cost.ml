@@ -64,6 +64,19 @@ let restrict cat stats (f : Sql.Ast.from_item) pred =
   in
   { cost = card; card = card *. sel }
 
+(* Price of one hash-join build row in probe rows. A build row is hashed,
+   inserted into a [Relation.Keyed] table and laid out again by
+   [Keyed.group], and the rows stay held for the whole join; a probe row
+   is hashed and looked up, then streams on. Calibrated on the JOIN_SCALE
+   bench's per-row measurement (bench/main.ml [calibrate_hash_join],
+   "calibration" in BENCH_join_scale.json): over 10^6 star-schema FACT
+   rows on a 2-vCPU host, five runs measured a [Keyed.group] build at
+   119-193 ns per row and a probe into the DIM1 table at 53-69 ns, a
+   build/probe ratio of 2.2-2.8 with median 2.3. End to end the gap is
+   wider (replaying matches from a large build reads its rows out of
+   cache), so the weight errs low. *)
+let build_weight = 2.3
+
 (* One streaming hash-join (or product) step, mirroring the engine: drain
    the inner (build) side into a hash table, stream the outer (probe)
    side, emit matches. With a unique-build certificate the build side's
@@ -80,26 +93,27 @@ let join_step ~outer ~inner ~equis ~unique_build =
       (* block nested-loop product: every pair is touched *)
       outer.cost +. inner.cost +. (outer.card *. inner.card)
     else
-      (* build (insert inner rows) + probe (hash each outer row) + emit *)
-      outer.cost +. inner.cost +. inner.card +. outer.card +. card
+      (* build (store inner rows) + probe (look up each outer row) + emit *)
+      outer.cost +. inner.cost +. (build_weight *. inner.card) +. outer.card
+      +. card
   in
   { cost; card = max card 0.0 }
 
 (* A materializing ORDER BY sort on [card] rows: n log2 n comparisons —
    the cost a certified sort elision removes. An upper bound: on at most
    n/4 distinct keys the engine compares only the d distinct ones
-   (d log2 d) and lays the rows out in a linear pass. It decides no
-   choice (every rewrite candidate pays the same), so it only narrates. *)
+   (d log2 d) and lays the rows out in a linear pass. Every rewrite
+   candidate pays the same, so it decides no rewrite; [Join_plan]
+   charges it to the join orders that cannot elide the sort. *)
 let sort ~card = card *. log2 card
 
 (* One streaming merge-join step over order-covered inputs: both sides
    stream through a single comparison sweep, so no hash table is built
-   and no per-row hashing is paid — the step replaces [join_step]'s
-   [inner.card + outer.card] hashing charge with plain comparisons and
-   buffers only one build key group. Cardinality matches the generic
-   hash estimate (order says nothing about match counts). *)
-let merge_step ~outer ~inner ~equis =
-  let h = join_step ~outer ~inner ~equis ~unique_build:false in
+   and neither side pays [join_step]'s per-row build or probe charge —
+   each row is compared, and only one build key group is buffered.
+   Cardinality is [join_step]'s (order says nothing about match counts). *)
+let merge_step ~outer ~inner ~equis ~unique_build =
+  let h = join_step ~outer ~inner ~equis ~unique_build in
   {
     cost = outer.cost +. inner.cost +. (0.5 *. (outer.card +. inner.card)) +. h.card;
     card = h.card;

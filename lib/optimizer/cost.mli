@@ -40,25 +40,36 @@ val selectivity : Sql.Ast.pred -> float
 val restrict :
   Catalog.t -> table_stats -> Sql.Ast.from_item -> Sql.Ast.pred -> estimate
 
+(** Price of one hash-join build row, in probe rows: a build row is
+    hashed, stored and laid out ([Relation.Keyed.group]) and held for the
+    whole join, a probe row is hashed, looked up and streamed. Calibrated
+    on the JOIN_SCALE bench's per-row build and probe times (the
+    measurement is cited at the definition). *)
+val build_weight : float
+
 (** One streaming join step, mirroring [Engine.Operator.hash_join]:
     [equis = 0] is a block nested-loop product (cost includes every
-    pair); otherwise cost = build the inner side + probe with every
-    outer row + emit the output. Cardinality: [outer * inner] for a
-    product, [outer] under a unique-build certificate (each probe row
-    matches at most one build row), [outer * inner * 0.1^equis]
+    pair); otherwise the step is asymmetric in its two sides:
+    [outer.cost + inner.cost + build_weight * inner.card + outer.card +
+    card] — every inner (build) row is stored, every outer (probe) row is
+    looked up, every output row is emitted. Cardinality: [outer * inner]
+    for a product, [outer] under a unique-build certificate (each probe
+    row matches at most one build row), [outer * inner * 0.1^equis]
     otherwise. *)
 val join_step :
   outer:estimate -> inner:estimate -> equis:int -> unique_build:bool -> estimate
 
 (** Comparisons a materializing [ORDER BY] sort pays on [card] rows
-    ([n log2 n]) — the cost a certified sort elision removes. An upper
-    bound: on at most [n/4] distinct keys the engine compares only the
-    distinct ones. *)
+    ([n log2 n]) — the cost a certified sort elision removes, and what
+    [Optimizer.Join_plan] charges a join order that cannot elide it. An
+    upper bound: on at most [n/4] distinct keys the engine compares only
+    the distinct ones. *)
 val sort : card:float -> float
 
-(** One streaming merge-join step over order-covered inputs, mirroring
-    [Engine.Operator.merge_join]: a single comparison sweep replaces
-    {!join_step}'s hash build and per-row probe hashing, with one build
-    key group as the only buffered state. Cardinality matches the
-    generic (non-unique) hash estimate. *)
-val merge_step : outer:estimate -> inner:estimate -> equis:int -> estimate
+(** One streaming merge-join step over inputs ordered on the join keys,
+    mirroring [Engine.Operator.merge_join]: both sides stream through one
+    comparison sweep, so the step is symmetric — [outer.cost + inner.cost
+    + 0.5 * (outer.card + inner.card) + card] — with {!join_step}'s
+    cardinality. *)
+val merge_step :
+  outer:estimate -> inner:estimate -> equis:int -> unique_build:bool -> estimate

@@ -11,7 +11,8 @@ let applicable (q : Sql.Ast.query) =
   | Sql.Ast.Spec spec -> spec.Sql.Ast.distinct = Sql.Ast.Distinct && spec.Sql.Ast.group_by = []
   | Sql.Ast.Setop _ -> false
 
-let choose ?cache ?(trace = Trace.disabled) ?database cat (q : Sql.Ast.query) =
+let choose ?cache ?(trace = Trace.disabled) ?database ?config cat
+    (q : Sql.Ast.query) =
   let alg1_yes =
     match q with
     | Sql.Ast.Spec spec when applicable q ->
@@ -19,10 +20,18 @@ let choose ?cache ?(trace = Trace.disabled) ?database cat (q : Sql.Ast.query) =
        with Fd.Derive.Unknown_table _ | Fd.Derive.Unknown_column _ -> false)
     | Sql.Ast.Spec _ | Sql.Ast.Setop _ -> false
   in
-  (* the path [Operator.unique] will take, from the stream it will read *)
+  (* the path [Operator.unique] will take, from the stream it will read
+     under the configuration the query runs with (fresh stats: compiling
+     narrates strategy choices into them) *)
   let stream =
     match database with
-    | Some db when applicable q && not alg1_yes -> Engine.Exec.distinct_stream db q
+    | Some db when applicable q && not alg1_yes ->
+      let config =
+        Option.map
+          (fun c -> { c with Engine.Exec.stats = Engine.Stats.create () })
+          config
+      in
+      Engine.Exec.distinct_stream ?config db q
     | Some _ | None -> None
   in
   let path, covered, coverage =

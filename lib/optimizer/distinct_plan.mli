@@ -12,7 +12,9 @@
 
     With a database instance at hand the choice also narrates what
     [Stream_hash] will do there: it compiles the stream arriving at the
-    DISTINCT ({!Engine.Exec.distinct_stream}) and asks the operator's own
+    DISTINCT ({!Engine.Exec.distinct_stream}) under the configuration the
+    query runs with — the join order decides the arrival order — and asks
+    the operator's own
     {!Engine.Operator.unique_path} how many columns the order covers and
     which path ([hash-unique], [prefix-unique] or [sorted-unique]) that
     selects — the same function that decides it at run time.
@@ -41,13 +43,17 @@ type choice = {
 val applicable : Sql.Ast.query -> bool
 
 (** Pick a strategy. [~database] only sharpens the narration — without an
-    instance there is no verified physical order to consult. Never raises
-    on analyzer errors (unknown tables/columns degrade to the hash
-    strategy). *)
+    instance there is no verified physical order to consult — and
+    [~config] (default {!Engine.Exec.default_config}) is the configuration
+    the narrated stream is compiled under: pass the one the query will
+    run with, or the narration may describe a path that does not run.
+    Never raises on analyzer errors (unknown tables/columns degrade to the
+    hash strategy). *)
 val choose :
   ?cache:Analysis_cache.t ->
   ?trace:Trace.t ->
   ?database:Engine.Database.t ->
+  ?config:Engine.Exec.config ->
   Catalog.t ->
   Sql.Ast.query ->
   choice

@@ -15,15 +15,35 @@
 
     Ordering is a greedy enumeration over the flattened FROM-list leaves:
     every leaf is tried as the start of the probe pipeline, each partial
-    order is extended with the cheapest next step under {!Cost.join_step}
-    (ties broken toward the smallest leaf index, keeping the result
-    deterministic), and the cheapest completed order wins. Unique-build
+    order is extended with the cheapest next step under {!Cost.join_step},
+    and the cheapest completed order wins. A step's cost is asymmetric,
+    as the engine's hash join is: every row of the joined leaf (the build
+    side) costs {!Cost.build_weight} probe rows, every row of the partial
+    result (the probe side) one, so the smaller side is built. A step
+    whose probe stream (ordered as its start leaf) and joined leaf are
+    both stored in an order that follows the join keys is costed as the
+    merge join [Order_plan] will certify for it ({!Cost.merge_step},
+    symmetric in its sides). Unique-build
     certificates feed the cost model — equality on a candidate key caps a
     step's output cardinality at the outer side instead of applying the
     blanket 0.1 selectivity — so key-covering joins are ordered first.
 
+    The stream arrives in the order of the start leaf (joins keep the
+    probe side's order, pushed filters the leaf's). With an [ORDER BY],
+    an order is charged {!Cost.sort} at its estimated output cardinality
+    unless it starts at a leaf whose stored order ([~database]'s
+    {!Engine.Database.order}) begins with the ORDER BY keys and the query
+    does not group. The charge only ranks orders: [Order_plan] alone
+    certifies an elision.
+
+    Ties go to the smaller build side (fewer build rows in total, for
+    whole orders), then to the smallest leaf index, so the result is
+    deterministic.
+
     With [~trace], the decision lands as a [planner.join] node (citing
-    Theorem 1 when any build is unique) whose children describe each step. *)
+    Theorem 1 when any build is unique, with the sort charge when there is
+    one) whose children describe each step: the leaf built and the
+    pipeline probed, each with its estimated rows. *)
 
 (** One join step of the chosen order. *)
 type step = {
@@ -31,9 +51,17 @@ type step = {
   leaf_name : string;  (** correlation name of the leaf *)
   equis : int;  (** cross-leaf equality edges consumed by this step *)
   unique_build : bool;
+  merge : bool;
+      (** costed as a merge join: the stored orders of the start leaf and
+          of [leaf] follow the step's join keys. Only an estimate —
+          [Order_plan] certifies merge joins *)
   cert_spec : Sql.Ast.query_spec option;
       (** the synthetic DISTINCT spec whose Algorithm 1 YES certifies
           [unique_build]; [Some _] iff [unique_build] *)
+  build_rows : float;  (** estimated rows of [leaf], the side built *)
+  probe_rows : float;
+      (** estimated rows of the partial result probing it (the leaves
+          joined so far) *)
   est : Cost.estimate;  (** running estimate {e after} this step *)
 }
 
@@ -46,7 +74,11 @@ type choice = {
   reason : string;
   first : int;  (** leaf the probe pipeline starts from *)
   steps : step list;
-  est_cost : float;
+  est_cost : float;  (** the chosen order's cost, [sort_charge] included *)
+  sort_charge : float;
+      (** {!Cost.sort} charged to the chosen order because its start leaf
+          cannot deliver the ORDER BY; 0 without an ORDER BY or when it
+          may be elided *)
   from_order_cost : float;
       (** the same cost model applied to FROM-clause order — the
           yardstick the [JOIN_SCALE] bench measures against *)
@@ -59,8 +91,9 @@ val applicable : Sql.Ast.query -> bool
 
 (** Pick a join order. Table cardinalities come from [~database] row
     counts when an instance is at hand, else from [~stats], else default
-    to 1000 rows per table. Never raises: unresolvable references degrade
-    to FROM-order hash joins with no unique builds. *)
+    to 1000 rows per table; stored orders come only from [~database].
+    Never raises: unresolvable references degrade to FROM-order hash joins
+    with no unique builds. *)
 val choose :
   ?cache:Analysis_cache.t ->
   ?trace:Trace.t ->

@@ -23,8 +23,8 @@
       re-runs it on verified operator orders before acting, so a stale
       flag degrades to a hash join, never to a wrong answer.
 
-    Costing uses {!Cost.sort} (the [n log2 n] the elision removes) and
-    {!Cost.merge_step}; the decision lands in the explain report's
+    Costing uses {!Cost.sort} (the [n log2 n] the elision removes); the
+    decision lands in the explain report's
     [order-strategy] section and as a [planner.order] trace node. *)
 
 type choice = {
@@ -45,6 +45,12 @@ type choice = {
           certified *)
   merge_joins : int;  (** join steps certified for merge execution *)
 }
+
+(** The verified physical order of each FROM leaf, qualified with its
+    correlation name as the executor's scan does; [[]] for a view or a
+    table with no recorded order. *)
+val leaf_orders :
+  Engine.Database.t -> Catalog.t -> Sql.Ast.query_spec -> Schema.Attr.t list array
 
 (** Is there an [ORDER BY] to plan? True only for a [Spec] with a
     nonempty [order_by]. Merge-join certification runs regardless —

@@ -20,16 +20,22 @@ let plan ?cache ?planner_trace ?distinct_trace ?join_trace ?order_trace
       (Uniqueness.Views.expand_query cat q)
   in
   let query = strategy.Planner.query in
-  let distinct =
-    Distinct_plan.choose ?cache ?trace:distinct_trace ?database cat query
-  in
   let join = Join_plan.choose ?cache ?trace:join_trace ?database ?stats cat query in
-  let probed =
+  let joined =
     { (Engine.Exec.default_config ()) with
       Engine.Exec.logic;
-      distinct_impl = distinct.Distinct_plan.impl;
       join_impl = join.Join_plan.impl;
       exists_impl = Engine.Exec.Indexed_exists }
+  in
+  (* the DISTINCT path is narrated from the stream the join order
+     delivers; the merge joins [Order_plan] adds keep the probe side's
+     order, so that stream arrives in the same order in the final plan *)
+  let distinct =
+    Distinct_plan.choose ?cache ?trace:distinct_trace ?database
+      ~config:joined cat query
+  in
+  let probed =
+    { joined with Engine.Exec.distinct_impl = distinct.Distinct_plan.impl }
   in
   let order =
     Order_plan.choose ?trace:order_trace ?database ~config:probed ?stats cat

@@ -3,9 +3,10 @@
     Expands views (the executor runs base tables only), lets
     {!Planner.choose} pick among the query and its uniqueness rewrites,
     then asks the three certificate authorities about the pick in the one
-    order that keeps their certificates valid: {!Distinct_plan}, then
-    {!Join_plan}, then {!Order_plan} probed under the configuration the
-    first two produced — they change the order rows arrive in. EXISTS
+    order that keeps their certificates valid: {!Join_plan}, then
+    {!Distinct_plan} narrating the stream that join order delivers, then
+    {!Order_plan} probed under the configuration the first two produced —
+    they change the order rows arrive in. EXISTS
     runs indexed ([Engine.Exec] falls back to the nested loop without an
     equality correlation). [uniqsql run] and [explain --run] execute
     [query] under [config]; [explain] narrates it. *)

@@ -27,15 +27,27 @@ let enumerate ?(with_rewrites = true) ?cache ?(trace = Trace.disabled) cat stats
   end
   else begin
     let candidates = ref [] in
-    let note name (o : R.outcome) =
+    let note ?analyzer name (o : R.outcome) =
       (* every attempt leaves its decision node, fired or refused *)
-      Trace.emitf trace (fun () -> R.node_of_outcome o);
+      Trace.emitf trace (fun () ->
+          let n = R.node_of_outcome o in
+          match analyzer with
+          | None -> n
+          | Some a -> { n with Trace.inputs = [ ("analyzer", a) ] });
       if o.R.applied then candidates := strategy cat stats name o.R.result :: !candidates
     in
-    note "distinct-removed (Alg. 1)"
-      (R.remove_redundant_distinct ~analyzer:R.Algorithm1 ?cache cat q);
-    note "distinct-removed (FD)"
-      (R.remove_redundant_distinct ~analyzer:R.Fd_closure ?cache cat q);
+    (* Theorem 1 under both analyzers; when they reach the same outcome it
+       is narrated once (its strategy would be deduplicated below anyway) *)
+    let alg1 = R.remove_redundant_distinct ~analyzer:R.Algorithm1 ?cache cat q in
+    let fd = R.remove_redundant_distinct ~analyzer:R.Fd_closure ?cache cat q in
+    if
+      alg1.R.applied = fd.R.applied
+      && Sql.Pretty.query alg1.R.result = Sql.Pretty.query fd.R.result
+    then note ~analyzer:"Algorithm 1, FD closure" "distinct-removed (Alg. 1)" alg1
+    else begin
+      note ~analyzer:"Algorithm 1" "distinct-removed (Alg. 1)" alg1;
+      note ~analyzer:"FD closure" "distinct-removed (FD)" fd
+    end;
     note "intersect-to-exists" (R.intersect_to_exists ?cache cat q);
     note "except-to-not-exists" (R.except_to_not_exists ?cache cat q);
     note "group-by-removed" (R.remove_redundant_group_by cat q);

@@ -241,6 +241,159 @@ let test_join_plan_estimates_match_measured () =
     (Engine.Relation.cardinality r)
     (int_of_float est_card)
 
+(* ---- asymmetric, order-aware join costing ---- *)
+
+let attr_join = "SELECT F.ID, D1.K FROM DIM1 D1, FACT F WHERE D1.ATTR = F.FK1"
+
+let star_db = lazy (Workload.Datagen.star_db ~rows:20_000 ())
+
+(* A hash join stores its build side and streams its probe side, so the
+   non-key join of a 447-row dimension with 20,000 fact rows builds the
+   dimension, whichever table FROM lists first. *)
+let test_join_plan_builds_smaller_side () =
+  let db = Lazy.force star_db in
+  let cat = Engine.Database.catalog db in
+  let c = Optimizer.Join_plan.choose ~database:db cat (parse attr_join) in
+  Alcotest.(check int) "probes FACT" 1 c.Optimizer.Join_plan.first;
+  match c.Optimizer.Join_plan.steps with
+  | [ s ] ->
+    Alcotest.(check string) "builds DIM1" "D1" s.Optimizer.Join_plan.leaf_name;
+    Alcotest.(check (float 1e-9)) "build rows"
+      (float_of_int (Engine.Database.row_count db "DIM1"))
+      s.Optimizer.Join_plan.build_rows;
+    Alcotest.(check (float 1e-9)) "probe rows" 20_000.0
+      s.Optimizer.Join_plan.probe_rows
+  | _ -> Alcotest.fail "expected exactly one join step"
+
+(* Rows of [sql] under the physical plan, with the order strategy, and
+   under the plan's join order with the materializing sort. *)
+let run_sorted db sql =
+  let cat = Engine.Database.catalog db in
+  let q = parse sql in
+  let p = Optimizer.Physical.plan ~database:db cat q in
+  let planned =
+    Engine.Exec.run_query ~config:p.Optimizer.Physical.config db ~hosts:[]
+      p.Optimizer.Physical.query
+  in
+  let baseline =
+    Engine.Exec.run_query
+      ~config:
+        { (Engine.Exec.default_config ()) with
+          Engine.Exec.sort_impl = Engine.Exec.Materialize_sort }
+      db ~hosts:[] q
+  in
+  (p.Optimizer.Physical.order.Optimizer.Order_plan.name, planned, baseline)
+
+let check_list_equal what (a : Engine.Relation.t) (b : Engine.Relation.t) =
+  Alcotest.(check bool) (what ^ ": list-equal to the materializing sort") true
+    (List.length a.Engine.Relation.rows = List.length b.Engine.Relation.rows
+    && List.for_all2 Engine.Relation.equal_rows a.Engine.Relation.rows
+         b.Engine.Relation.rows)
+
+(* Probing FACT (stored in ID order) delivers ORDER BY F.ID for free. *)
+let test_join_plan_probe_order_elides_sort () =
+  let db = Lazy.force star_db in
+  let sql = attr_join ^ " ORDER BY F.ID" in
+  let name, planned, baseline = run_sorted db sql in
+  Alcotest.(check string) "sort elided" "elided-sort" name;
+  check_list_equal sql planned baseline
+
+(* ORDER BY D1.K: only a pipeline started at DIM1 (stored in K order)
+   arrives sorted, so the sort charge outweighs building FACT; from
+   either FROM order the plan probes DIM1, elides the sort, and returns
+   the materializing sort's list. *)
+let test_join_plan_sort_charge () =
+  let db = Lazy.force star_db in
+  let cat = Engine.Database.catalog db in
+  List.iter
+    (fun sql ->
+      let c = Optimizer.Join_plan.choose ~database:db cat (parse sql) in
+      Alcotest.(check string) (sql ^ ": probes DIM1") "D1"
+        (match parse sql with
+         | Sql.Ast.Spec spec ->
+           Sql.Ast.from_name (List.nth spec.Sql.Ast.from c.Optimizer.Join_plan.first)
+         | Sql.Ast.Setop _ -> "?");
+      Alcotest.(check (float 1e-9)) (sql ^ ": no sort charged") 0.0
+        c.Optimizer.Join_plan.sort_charge;
+      let name, planned, baseline = run_sorted db sql in
+      Alcotest.(check string) (sql ^ ": sort elided") "elided-sort" name;
+      check_list_equal sql planned baseline)
+    [ attr_join ^ " ORDER BY D1.K";
+      "SELECT F.ID, D1.K FROM FACT F, DIM1 D1 WHERE D1.ATTR = F.FK1 ORDER BY \
+       D1.K" ]
+
+(* Both SUPPLIER (stored on SNO) and PARTS (stored on SNO, PNO) follow
+   the join key, so the step is costed as the merge join the ORDER BY
+   planner certifies, symmetric in its sides: the plan keeps the filtered
+   SUPPLIER as the probe, as under the symmetric hash cost. The non-key
+   star join has no such order and stays a hash step. *)
+let test_join_plan_costs_merge_steps () =
+  let db = Workload.Generator.supplier_db ~suppliers:2_000 ~parts_per_supplier:5 () in
+  let cat = Engine.Database.catalog db in
+  let c =
+    Optimizer.Join_plan.choose ~database:db cat
+      (parse
+         "SELECT S.SNO, S.SNAME FROM SUPPLIER S, PARTS P WHERE S.SNAME = \
+          'SUPPLIER-7' AND S.SNO = P.SNO AND P.PNO = 3")
+  in
+  Alcotest.(check int) "probes SUPPLIER" 0 c.Optimizer.Join_plan.first;
+  (match c.Optimizer.Join_plan.steps with
+   | [ s ] ->
+     Alcotest.(check bool) "costed as a merge join" true s.Optimizer.Join_plan.merge
+   | _ -> Alcotest.fail "expected exactly one join step");
+  let star = Lazy.force star_db in
+  let c =
+    Optimizer.Join_plan.choose ~database:star (Engine.Database.catalog star)
+      (parse attr_join)
+  in
+  Alcotest.(check bool) "non-key join is a hash step" false
+    (List.exists (fun s -> s.Optimizer.Join_plan.merge) c.Optimizer.Join_plan.steps)
+
+(* For any table sizes, a two-leaf non-key equi-join with no ORDER BY
+   builds the leaf with fewer rows. *)
+let prop_builds_smaller_leaf =
+  QCheck2.Test.make ~name:"two-leaf non-key join builds the smaller leaf"
+    ~count:300
+    QCheck2.Gen.(triple (int_range 1 1_000_000) (int_range 1 1_000_000) bool)
+    (fun (dim, fact, fact_first) ->
+      let rows = function "DIM1" -> dim | "FACT" -> fact | _ -> 0 in
+      let sql =
+        if fact_first then
+          "SELECT F.ID, D1.K FROM FACT F, DIM1 D1 WHERE D1.ATTR = F.FK1"
+        else attr_join
+      in
+      let spec =
+        match parse sql with Sql.Ast.Spec s -> s | Sql.Ast.Setop _ -> assert false
+      in
+      let c =
+        Optimizer.Join_plan.choose ~stats:rows Workload.Datagen.star_catalog
+          (Sql.Ast.Spec spec)
+      in
+      let table i = (List.nth spec.Sql.Ast.from i).Sql.Ast.table in
+      match c.Optimizer.Join_plan.steps with
+      | [ s ] ->
+        rows (table s.Optimizer.Join_plan.leaf)
+        <= rows (table c.Optimizer.Join_plan.first)
+      | _ -> false)
+
+(* The DISTINCT path narrated is the one that runs: the narration reads
+   the stream under the plan's join order, not FROM order. *)
+let test_physical_narrates_distinct_path () =
+  let db = Workload.Generator.supplier_db ~suppliers:200 ~parts_per_supplier:5 () in
+  let cat = Engine.Database.catalog db in
+  List.iter
+    (fun sql ->
+      let p = Optimizer.Physical.plan ~database:db cat (parse sql) in
+      let c = p.Optimizer.Physical.config in
+      ignore (Engine.Exec.run_query ~config:c db ~hosts:[] p.Optimizer.Physical.query);
+      Alcotest.(check string) (sql ^ ": narrated path ran")
+        p.Optimizer.Physical.distinct.Optimizer.Distinct_plan.name
+        c.Engine.Exec.stats.Engine.Stats.dedup_strategy)
+    [ "SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S WHERE EXISTS (SELECT * FROM \
+       PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')";
+      "SELECT DISTINCT S.SNO FROM SUPPLIER S INTERSECT SELECT DISTINCT A.SNO \
+       FROM AGENTS A" ]
+
 (* ---- Physical.plan: one composed plan ---- *)
 
 let supplier_db () =
@@ -423,6 +576,15 @@ let () =
             test_join_plan_filtered_probe;
           Alcotest.test_case "estimates match measured rows on FK data" `Quick
             test_join_plan_estimates_match_measured;
+          Alcotest.test_case "non-key join builds the smaller side" `Quick
+            test_join_plan_builds_smaller_side;
+          Alcotest.test_case "probing the ordered side elides the sort" `Quick
+            test_join_plan_probe_order_elides_sort;
+          Alcotest.test_case "sort charge picks the ordered probe" `Quick
+            test_join_plan_sort_charge;
+          Alcotest.test_case "merge-ordered steps cost as merge joins" `Quick
+            test_join_plan_costs_merge_steps;
+          QCheck_alcotest.to_alcotest prop_builds_smaller_leaf;
         ] );
       ( "physical",
         [
@@ -434,6 +596,8 @@ let () =
             test_physical_runs_chosen_rewrite;
           Alcotest.test_case "indexes a NOT EXISTS" `Quick
             test_physical_indexes_exists;
+          Alcotest.test_case "narrates the DISTINCT path that runs" `Quick
+            test_physical_narrates_distinct_path;
           Alcotest.test_case "order plan degrades on unexpanded views" `Quick
             test_order_plan_degrades_on_views;
         ] );

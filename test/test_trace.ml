@@ -54,6 +54,62 @@ let test_json_snapshot () =
   let got = Trace.Json.to_string (Trace.to_json (algorithm1_nodes example1)) in
   Alcotest.(check string) "Example 1 Algorithm 1 JSON" expected_json got
 
+(* One section of an explain report over a generated supplier instance,
+   rendered as the CLI prints it. *)
+let explain_section ~suppliers title sql =
+  let db =
+    Workload.Generator.supplier_db ~suppliers ~parts_per_supplier:5 ()
+  in
+  let report =
+    Explain.explain ~database:db (Engine.Database.catalog db)
+      (Sql.Parser.parse_query sql)
+  in
+  let section = List.find (fun s -> s.Explain.title = title) report.Explain.sections in
+  Format.asprintf "%a" Trace.pp section.Explain.nodes
+
+(* Algorithm 1 and the FD closure reach the same Theorem 1 outcome here:
+   the planner narrates the attempt once, naming both analyzers. *)
+let expected_planner_head =
+  {|* [APPLIED] distinct-removal (Theorem 1) -- the projection functionally determines a candidate key of every table
+    < analyzer = Algorithm 1, FD closure
+    > result = SELECT ALL S.SNO FROM SUPPLIER S
+* [NOT-APPLIED] intersect-to-exists (Theorem 3 / Corollary 2) -- not a matching set operation on query specifications|}
+
+let test_planner_theorem1_once () =
+  let got =
+    explain_section ~suppliers:10 "planner" "SELECT DISTINCT S.SNO FROM SUPPLIER S"
+  in
+  Alcotest.(check string) "planner section head" expected_planner_head
+    (String.sub got 0 (String.length expected_planner_head))
+
+(* The join section names the side built and the side probed, each with
+   its estimated rows. *)
+let expected_join_section =
+  {|* [CHOSEN] planner.join (Theorem 1) -- greedy key-aware order P -> S: probe P (100 rows), build S (200 rows); 1 unique build(s), est cost 1450 vs FROM-order 3350
+    < query = SELECT ALL S.SNAME, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND P.COLOR = 'RED'
+    > strategy = cost-ordered
+    > order = P -> S
+    > unique-builds = 1
+    > est-cost = 1450
+    > from-order-cost = 3350
+    > stats = database
+  * planner.join.step -- both sides stored in join-key order: costed as a merge join
+      > build = S
+      > build-rows = 200
+      > probe = P
+      > probe-rows = 100
+      > equi-edges = 1
+      > unique-build = yes
+      > merge = yes
+      > est-card = 100
+      > est-cost = 1450|}
+
+let test_join_section_snapshot () =
+  Alcotest.(check string) "join-strategy section" expected_join_section
+    (explain_section ~suppliers:200 "join-strategy"
+       "SELECT ALL S.SNAME, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = \
+        P.SNO AND P.COLOR = 'RED'")
+
 (* the pretty printer must round-trip: same document, only whitespace
    outside string literals may differ *)
 let strip_outside_strings s =
@@ -287,7 +343,11 @@ let () =
        [ Alcotest.test_case "example 1 tree" `Quick test_tree_snapshot;
          Alcotest.test_case "example 1 json" `Quick test_json_snapshot;
          Alcotest.test_case "json pretty round-trip" `Quick
-           test_json_pretty_roundtrip ]);
+           test_json_pretty_roundtrip;
+         Alcotest.test_case "planner narrates Theorem 1 once" `Quick
+           test_planner_theorem1_once;
+         Alcotest.test_case "join section names build and probe" `Quick
+           test_join_section_snapshot ]);
       ("report",
        [ Alcotest.test_case "names the evidence" `Quick
            test_report_names_the_evidence;
