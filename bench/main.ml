@@ -1248,9 +1248,11 @@ let experiment_parallel () =
    size — rather than over a socket, so the numbers isolate dispatch +
    analysis from kernel I/O. Two phases per jobs level: a cold phase of
    distinct queries (sustained verdict-cache miss + insert traffic) and
-   a warm phase replaying a fixed base set (hit traffic after the first
-   replica), with a malformed request mixed in every ~40 to keep the
-   error path hot. Scale with SERVE_SCALE_QUERIES (default 100,000 total
+   a warm phase replaying a fixed base set, with a malformed request
+   mixed in every ~40 to keep the error path hot. The warm phase's first
+   two replicas are analyzed (verdict hits on the second); from the
+   third on every reply comes from the reply memo on the submitting
+   domain, so warm q/s measures memo lookups, not analysis. Scale with SERVE_SCALE_QUERIES (default 100,000 total
    requests). The JSON records a per-phase throughput/latency trajectory
    and either speedup > 1 at 2 and 4 domains or — on a single-core host,
    where no speedup is physically available — a measured per-task
@@ -1366,7 +1368,7 @@ let experiment_serve () =
   in
   let run_level jobs =
     Cache.Runtime.clear ();
-    let cache = Analysis_cache.create ~capacity:65_536 () in
+    let cache = Serve.Reply.create ~capacity:65_536 () in
     Cache.Runtime.with_enabled true @@ fun () ->
     Parallel.Pool.with_pool ~jobs @@ fun pool ->
     let hist = Engine.Histogram.create () in

@@ -460,10 +460,11 @@ let fuzz_cmd =
 let capacity_arg =
   Arg.(value & opt int 1024
        & info [ "capacity" ] ~docv:"N"
-           ~doc:"Verdict-cache capacity (LRU-bounded).")
+           ~doc:"Capacity of the verdict cache and of the reply memo \
+                 (each LRU-bounded).")
 
-let pp_cache_stats cache =
-  print_endline (Serve.Reply.cache_stats_line cache);
+let pp_cache_stats session =
+  print_endline (Serve.Reply.cache_stats_line session);
   flush stdout
 
 let split_statements text =
@@ -477,22 +478,23 @@ let batch_cmd =
          & info [] ~docv:"FILE"
              ~doc:"Files of semicolon-separated queries. Repeat a file to \
                    measure warm-cache behaviour: the second pass is served \
-                   from the cache filled by the first.")
+                   from the cache filled by the first, and a third from \
+                   the reply memo.")
   in
   let run ddl views capacity jobs files =
     wrap (fun () ->
         check_jobs jobs;
         let cat = catalog_of_ddl ddl views in
-        let cache =
-          Analysis_cache.create ~capacity ()
-        in
+        let session = Serve.Reply.create ~capacity () in
         Cache.Runtime.with_enabled true (fun () ->
-            (* One cache epoch per file pass: within a pass the shared
-               caches are frozen and worker domains fill thread-local
-               deltas (zero lock traffic); the merge at the pass boundary
-               is what lets the next pass hit. Epoch accounting makes the
-               trailing cache: counter line — not just the replies —
-               byte-identical at any job count. *)
+            (* One batch per file pass: within a pass the shared caches
+               are frozen and worker domains fill thread-local deltas
+               (zero lock traffic); the merge at the pass boundary is
+               what lets the next pass hit, and a statement's second
+               pass admits its reply to the memo, which answers the
+               third. Epoch accounting makes the trailing cache: counter
+               line — not just the replies — byte-identical at any job
+               count. *)
             Parallel.Pool.with_pool ~jobs (fun pool ->
                 List.iteri
                   (fun pass path ->
@@ -504,10 +506,10 @@ let batch_cmd =
                             sql ))
                         (split_statements (read_file path))
                     in
-                    Serve.Reply.run_batch pool cache cat items
+                    Serve.Reply.run_batch pool session cat items
                     |> List.iter (fun (text, _) -> print_string text))
                   files));
-        pp_cache_stats cache)
+        pp_cache_stats session)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -550,9 +552,7 @@ let serve_cmd =
     wrap (fun () ->
         check_jobs jobs;
         let cat = catalog_of_ddl ddl views in
-        let cache =
-          Analysis_cache.create ~capacity ()
-        in
+        let session = Serve.Reply.create ~capacity () in
         let stop = Atomic.make false in
         let on_signal _ = Atomic.set stop true in
         List.iter
@@ -568,8 +568,8 @@ let serve_cmd =
             stop }
         in
         Cache.Runtime.with_enabled true (fun () ->
-            Serve.Server.run cfg cat cache);
-        pp_cache_stats cache)
+            Serve.Server.run cfg cat session);
+        pp_cache_stats session)
   in
   Cmd.v
     (Cmd.info "serve"

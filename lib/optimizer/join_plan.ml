@@ -40,6 +40,12 @@ let fallback ~name ~reason =
     unique_builds = 0;
   }
 
+(* The unique builds that will run: a step costed as a merge join builds
+   no hash table, so its certificate (still passed to the engine) is not
+   narrated as a build. *)
+let hash_unique_builds steps =
+  List.length (List.filter (fun st -> st.unique_build && not st.merge) steps)
+
 (* The order enumeration proper; raises (Unknown_table / Unknown_column /
    Failure) on unresolvable references — [choose] catches and degrades.
    [leaf_order.(i)] is leaf [i]'s verified physical order, qualified as
@@ -245,6 +251,7 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
   let unique_builds =
     List.length (List.filter (fun st -> st.unique_build) steps)
   in
+  let hash_unique_builds = hash_unique_builds steps in
   let order_str =
     String.concat " -> " (corrs.(first) :: List.map (fun st -> st.leaf_name) steps)
   in
@@ -273,7 +280,7 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
         (rows corrs.(first) leaf_est.(first).Cost.card)
         (String.concat ", "
            (List.map (fun st -> rows st.leaf_name st.build_rows) steps))
-        unique_builds cost
+        hash_unique_builds cost
         (if charge > 0.0 then Printf.sprintf " (sort charge %.0f)" charge
          else "")
         from_cost;
@@ -332,7 +339,10 @@ let choose ?cache ?(trace = Trace.disabled) ?database ?stats cat
                     String.concat " -> " (List.filteri (fun k _ -> k <= i) names) );
                   ("probe-rows", Printf.sprintf "%.0f" st.probe_rows);
                   ("equi-edges", string_of_int st.equis);
-                  ("unique-build", if st.unique_build then "yes" else "no");
+                  ( "unique-build",
+                    if st.merge then "n/a (merge join)"
+                    else if st.unique_build then "yes"
+                    else "no" );
                   ("merge", if st.merge then "yes" else "no");
                   ("est-card", Printf.sprintf "%.0f" st.est.Cost.card);
                   ("est-cost", Printf.sprintf "%.0f" st.est.Cost.cost) ]
@@ -345,15 +355,16 @@ let choose ?cache ?(trace = Trace.disabled) ?database ?stats cat
                else "generic hash build (bucket lists)"))
           c.steps
       in
+      let unique_builds = hash_unique_builds c.steps in
       Trace.node ~rule:"planner.join"
-        ?citation:(if c.unique_builds > 0 then Some "Theorem 1" else None)
+        ?citation:(if unique_builds > 0 then Some "Theorem 1" else None)
         ~verdict:Trace.Chosen
         ~inputs:[ ("query", Sql.Pretty.query q) ]
         ~facts:
           ([ ("strategy", c.name);
              ( "order",
                match c.steps with [] -> "-" | _ -> String.concat " -> " names );
-             ("unique-builds", string_of_int c.unique_builds) ]
+             ("unique-builds", string_of_int unique_builds) ]
           @ (if c.sort_charge > 0.0 then
                [ ("sort-charge", Printf.sprintf "%.0f" c.sort_charge) ]
              else [])

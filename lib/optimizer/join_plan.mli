@@ -41,9 +41,9 @@
     deterministic.
 
     With [~trace], the decision lands as a [planner.join] node (citing
-    Theorem 1 when any build is unique, with the sort charge when there is
-    one) whose children describe each step: the leaf built and the
-    pipeline probed, each with its estimated rows. *)
+    Theorem 1 when a step that runs as a hash join builds unique, with the
+    sort charge when there is one) whose children describe each step: the
+    leaf built and the pipeline probed, each with its estimated rows. *)
 
 (** One join step of the chosen order. *)
 type step = {
@@ -83,6 +83,9 @@ type choice = {
       (** the same cost model applied to FROM-clause order — the
           yardstick the [JOIN_SCALE] bench measures against *)
   unique_builds : int;
+      (** steps with a unique-build certificate. The narration counts
+          only those not costed as merge joins: a merge join builds
+          nothing *)
 }
 
 (** Is there a join to plan? True only for a [Spec] with at least two

@@ -25,8 +25,10 @@
 
     Admitted requests dispatch in arrival order, at most [max_batch] per
     {!Analysis_cache.epoch}, through {!Reply.run_batch} on a
-    [Parallel.Pool] of [jobs] domains. Reply order per connection always
+    [Parallel.Pool] of [jobs] domains; a statement whose reply is
+    memoized never reaches the pool. Reply order per connection always
     equals request order, and reply bytes are identical at any [jobs].
+    A batch's replies to one connection leave in one write.
 
     Shutdown — the [stop] flag (set it from a SIGTERM/SIGINT handler),
     a [shutdown] command, or EOF on every connection of a listener-less
@@ -51,6 +53,6 @@ val default_config : unit -> config
 
 (** Run the server until shutdown. Creates (and on exit destroys) the
     socket and the analysis pool; the caller supplies the long-lived
-    catalog and verdict cache and typically prints
-    {!Reply.cache_stats_line} afterwards. *)
-val run : config -> Catalog.t -> Analysis_cache.t -> unit
+    catalog and session (verdict cache and reply memo) and typically
+    prints {!Reply.cache_stats_line} afterwards. *)
+val run : config -> Catalog.t -> Reply.t -> unit

@@ -394,6 +394,30 @@ let test_physical_narrates_distinct_path () =
       "SELECT DISTINCT S.SNO FROM SUPPLIER S INTERSECT SELECT DISTINCT A.SNO \
        FROM AGENTS A" ]
 
+(* The unique builds narrated are the ones that run: Example 1's join
+   runs as a merge join, which builds nothing; the star join builds both
+   dimensions unique. *)
+let test_physical_narrates_unique_builds () =
+  let paper = Workload.Generator.supplier_db ~suppliers:200 ~parts_per_supplier:5 () in
+  let star = Workload.Datagen.star_db ~rows:2_000 () in
+  List.iter
+    (fun (name, db, sql, builds) ->
+      let cat = Engine.Database.catalog db in
+      let trace = Trace.make () in
+      let p = Optimizer.Physical.plan ~join_trace:trace ~database:db cat (parse sql) in
+      let c = p.Optimizer.Physical.config in
+      ignore (Engine.Exec.run_query ~config:c db ~hosts:[] p.Optimizer.Physical.query);
+      let narrated =
+        match Trace.nodes trace with
+        | [ n ] -> List.assoc "unique-builds" n.Trace.facts
+        | ns -> Alcotest.failf "%s: %d planner.join nodes" name (List.length ns)
+      in
+      Alcotest.(check int) (name ^ ": unique builds run") builds
+        c.Engine.Exec.stats.Engine.Stats.unique_builds;
+      Alcotest.(check string) (name ^ ": narrated = run") (string_of_int builds) narrated)
+    [ ("Example 1", paper, example1, 0);
+      ("star join", star, Workload.Datagen.star_query, 2) ]
+
 (* ---- Physical.plan: one composed plan ---- *)
 
 let supplier_db () =
@@ -598,6 +622,8 @@ let () =
             test_physical_indexes_exists;
           Alcotest.test_case "narrates the DISTINCT path that runs" `Quick
             test_physical_narrates_distinct_path;
+          Alcotest.test_case "narrates the unique builds that run" `Quick
+            test_physical_narrates_unique_builds;
           Alcotest.test_case "order plan degrades on unexpanded views" `Quick
             test_order_plan_degrades_on_views;
         ] );

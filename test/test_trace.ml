@@ -83,13 +83,14 @@ let test_planner_theorem1_once () =
     (String.sub got 0 (String.length expected_planner_head))
 
 (* The join section names the side built and the side probed, each with
-   its estimated rows. *)
+   its estimated rows. The step runs as a merge join, which builds
+   nothing, so no unique build is counted or cited. *)
 let expected_join_section =
-  {|* [CHOSEN] planner.join (Theorem 1) -- greedy key-aware order P -> S: probe P (100 rows), build S (200 rows); 1 unique build(s), est cost 1450 vs FROM-order 3350
+  {|* [CHOSEN] planner.join -- greedy key-aware order P -> S: probe P (100 rows), build S (200 rows); 0 unique build(s), est cost 1450 vs FROM-order 3350
     < query = SELECT ALL S.SNAME, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND P.COLOR = 'RED'
     > strategy = cost-ordered
     > order = P -> S
-    > unique-builds = 1
+    > unique-builds = 0
     > est-cost = 1450
     > from-order-cost = 3350
     > stats = database
@@ -99,7 +100,7 @@ let expected_join_section =
       > probe = P
       > probe-rows = 100
       > equi-edges = 1
-      > unique-build = yes
+      > unique-build = n/a (merge join)
       > merge = yes
       > est-card = 100
       > est-cost = 1450|}
