@@ -149,7 +149,7 @@ val sort : stats:Stats.t -> Schema.Attr.t list -> t -> t
 (** Streaming sort-merge equi-join [probe ⋈ build]: both inputs must be
     verifiably sorted on their join keys (in the order the key index lists
     are given) — a certificate the caller provides (see
-    [Optimizer.Order_plan]), not this module's to check. Semantics match
+    [Optimizer.Join_plan]), not this module's to check. Semantics match
     {!hash_join} exactly: NULL join keys match nothing and are dropped
     from both sides, output is probe-major with build rows in build order
     within a key group, so the output is list-equal to a hash join over

@@ -133,6 +133,8 @@ module Classes = struct
     if Hashtbl.find_opt c.parent a = None then None
     else Hashtbl.find_opt c.bindings (find c a)
 
+  let representative = find
+
   let same c a b =
     Hashtbl.find_opt c.parent a <> None
     && Hashtbl.find_opt c.parent b <> None

@@ -44,6 +44,12 @@ module Classes : sig
   (** Constant (or host) bound to the class of [a], if any. *)
   val binding : classes -> Schema.Attr.t -> rhs option
 
+  (** The union-find root of [a]'s class ([a] itself when unequated):
+      one representative per class, stable while [classes] is. Lookups
+      compress paths in place, so a [classes] value must not be shared
+      between domains. *)
+  val representative : classes -> Schema.Attr.t -> Schema.Attr.t
+
   (** Are two columns in the same class? *)
   val same : classes -> Schema.Attr.t -> Schema.Attr.t -> bool
 end

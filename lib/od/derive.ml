@@ -23,28 +23,6 @@ let conjunct_equalities resolve (where : Sql.Ast.pred) =
       | _ -> None)
     clauses
 
-(* Canonicalizer from the Type2 equality classes: every attribute maps to
-   the minimum of its class. Plain union-by-merge over the (few) equated
-   pairs. *)
-let canon_of_pairs pairs =
-  let classes =
-    List.fold_left
-      (fun classes (a, b) ->
-        let holds s = Attr.Set.mem a s || Attr.Set.mem b s in
-        let ins, outs = List.partition holds classes in
-        let merged =
-          List.fold_left Attr.Set.union
-            (Attr.Set.add a (Attr.Set.singleton b))
-            ins
-        in
-        merged :: outs)
-      [] pairs
-  in
-  fun a ->
-    match List.find_opt (Attr.Set.mem a) classes with
-    | Some cls -> Attr.Set.min_elt cls
-    | None -> a
-
 let of_query_spec ?(trace = Trace.disabled) cat (q : Sql.Ast.query_spec) =
   let fd_src = Fd.Derive.of_query_spec cat q in
   let resolve = Fd.Derive.resolver cat q.from in
@@ -111,18 +89,11 @@ let of_query_spec ?(trace = Trace.disabled) cat (q : Sql.Ast.query_spec) =
         ods)
       equalities
   in
-  let canon =
-    canon_of_pairs
-      (List.filter_map
-         (function
-           | Logic.Equalities.Type2 (a, b) -> Some (a, b)
-           | Logic.Equalities.Type1 _ -> None)
-         equalities)
-  in
   {
     src_ods = Odset.of_list (key_ods @ eq_ods);
     src_fds = fd_src.Fd.Derive.src_fds;
-    src_canon = canon;
+    src_canon =
+      Logic.Equalities.Classes.(representative (build equalities));
   }
 
 let covers ?trace cat (q : Sql.Ast.query_spec) ~stream keys =

@@ -25,7 +25,9 @@ type source = {
   src_ods : Odset.t;                     (** ODs over the product attributes *)
   src_fds : Fd.Fdset.t;                  (** from {!Fd.Derive.of_query_spec} *)
   src_canon : Schema.Attr.t -> Schema.Attr.t;
-      (** equality-class representative (identity when unequated) *)
+      (** equality-class representative,
+          {!Logic.Equalities.Classes.representative} (identity when
+          unequated) *)
 }
 
 (** Collect the derived order dependencies of a query specification. With

@@ -5,6 +5,12 @@ type estimate = {
   card : float;
 }
 
+let source ?database ?stats () =
+  match (database, stats) with
+  | Some db, _ -> ("database", Engine.Database.row_count db)
+  | None, Some s -> ("callback", s)
+  | None, None -> ("default 1000", fun _ -> 1000)
+
 let log2 x = if x < 2.0 then 1.0 else log x /. log 2.0
 
 (* Does [pred] contain an equality pinning the full candidate key of the

@@ -12,6 +12,12 @@
 type table_stats = string -> int
 (** cardinality of a base table (by name) *)
 
+(** The planner's one cardinality source, paired with its narrated name:
+    [database]'s row counts (["database"]), else [stats] (["callback"]),
+    else 1000 rows per table (["default 1000"]). *)
+val source :
+  ?database:Engine.Database.t -> ?stats:table_stats -> unit -> string * table_stats
+
 type estimate = {
   cost : float;      (** total work units *)
   card : float;      (** estimated output cardinality *)

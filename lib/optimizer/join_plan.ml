@@ -20,6 +20,7 @@ type choice = {
   sort_charge : float;
   from_order_cost : float;
   unique_builds : int;
+  merge_joins : int;
 }
 
 let applicable (q : Sql.Ast.query) =
@@ -38,6 +39,7 @@ let fallback ~name ~reason =
     sort_charge = 0.0;
     from_order_cost = 0.0;
     unique_builds = 0;
+    merge_joins = 0;
   }
 
 (* The unique builds that will run: a step costed as a merge join builds
@@ -45,6 +47,21 @@ let fallback ~name ~reason =
    narrated as a build. *)
 let hash_unique_builds steps =
   List.length (List.filter (fun st -> st.unique_build && not st.merge) steps)
+
+(* Verified physical order of each FROM leaf, qualified exactly as the
+   executor's scan does. Views hold no stored rows, so no order. *)
+let leaf_orders db cat (spec : Sql.Ast.query_spec) =
+  Array.of_list
+    (List.map
+       (fun (f : Sql.Ast.from_item) ->
+         match Catalog.find cat f.Sql.Ast.table with
+         | Some def when not (Catalog.is_view def) ->
+           let corr = Sql.Ast.from_name f in
+           List.map
+             (fun c -> Schema.Attr.make ~rel:corr ~name:c)
+             (Engine.Database.order db f.Sql.Ast.table)
+         | Some _ | None -> [])
+       spec.Sql.Ast.from)
 
 (* The order enumeration proper; raises (Unknown_table / Unknown_column /
    Failure) on unresolvable references — [choose] catches and degrades.
@@ -148,7 +165,7 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
      correlation names [in_set], started at leaf [start], with running
      estimate [outer]. When both the probe stream (ordered as [start]) and
      the leaf are stored in an order that follows the join keys, the step
-     is costed as the merge join [Order_plan] will certify for it. *)
+     is costed as, and certified for, a merge join. *)
   let step_for ~start in_set (outer : Cost.estimate) j =
     let jc = corrs.(j) in
     let pairs =
@@ -252,6 +269,7 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
     List.length (List.filter (fun st -> st.unique_build) steps)
   in
   let hash_unique_builds = hash_unique_builds steps in
+  let merge_joins = List.length (List.filter (fun st -> st.merge) steps) in
   let order_str =
     String.concat " -> " (corrs.(first) :: List.map (fun st -> st.leaf_name) steps)
   in
@@ -267,7 +285,7 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
                 {
                   Engine.Exec.js_leaf = st.leaf;
                   js_unique_build = st.unique_build;
-                  js_merge = false;
+                  js_merge = st.merge;
                 })
               steps;
         };
@@ -275,12 +293,12 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
     reason =
       Printf.sprintf
         "greedy key-aware order %s: probe %s, build %s; %d unique build(s), \
-         est cost %.0f%s vs FROM-order %.0f"
+         %d merge join(s), est cost %.0f%s vs FROM-order %.0f"
         order_str
         (rows corrs.(first) leaf_est.(first).Cost.card)
         (String.concat ", "
            (List.map (fun st -> rows st.leaf_name st.build_rows) steps))
-        hash_unique_builds cost
+        hash_unique_builds merge_joins cost
         (if charge > 0.0 then Printf.sprintf " (sort charge %.0f)" charge
          else "")
         from_cost;
@@ -290,16 +308,12 @@ let plan ?cache cat stats leaf_order (spec : Sql.Ast.query_spec) =
     sort_charge = charge;
     from_order_cost = from_cost;
     unique_builds;
+    merge_joins;
   }
 
 let choose ?cache ?(trace = Trace.disabled) ?database ?stats cat
     (q : Sql.Ast.query) =
-  let stats_source, stats =
-    match (database, stats) with
-    | Some db, _ -> ("database", fun t -> Engine.Database.row_count db t)
-    | None, Some s -> ("callback", s)
-    | None, None -> ("default 1000", fun _ -> 1000)
-  in
+  let stats_source, stats = Cost.source ?database ?stats () in
   let c =
     match q with
     | Sql.Ast.Spec spec when applicable q -> (
@@ -307,7 +321,7 @@ let choose ?cache ?(trace = Trace.disabled) ?database ?stats cat
         (* without an instance no stored order is known *)
         let leaf_order =
           match database with
-          | Some db -> Order_plan.leaf_orders db cat spec
+          | Some db -> leaf_orders db cat spec
           | None -> Array.make (List.length spec.Sql.Ast.from) []
         in
         plan ?cache cat stats leaf_order spec
@@ -364,7 +378,8 @@ let choose ?cache ?(trace = Trace.disabled) ?database ?stats cat
           ([ ("strategy", c.name);
              ( "order",
                match c.steps with [] -> "-" | _ -> String.concat " -> " names );
-             ("unique-builds", string_of_int unique_builds) ]
+             ("unique-builds", string_of_int unique_builds);
+             ("merge-joins", string_of_int c.merge_joins) ]
           @ (if c.sort_charge > 0.0 then
                [ ("sort-charge", Printf.sprintf "%.0f" c.sort_charge) ]
              else [])

@@ -1,9 +1,9 @@
-(** Join-order and unique-build strategy choice.
+(** Join-order, unique-build and merge-join strategy choice.
 
     Like [Distinct_plan], this module is a certificate authority sitting
     above the engine: [Engine.Exec] runs a [Planned_join] order and its
-    unique-build flags blindly, so every [js_unique_build = true] must be
-    backed by an independently derivable proof. The proof is Algorithm 1
+    unique-build and merge flags blindly, so every [js_unique_build = true]
+    must be backed by an independently derivable proof. The proof is Algorithm 1
     run on a synthetic [SELECT DISTINCT <build join columns> FROM <leaf>
     WHERE <pushed single-leaf conjuncts>] spec: an Algorithm 1 YES says
     the build side's join columns cover a derived candidate key of the
@@ -21,9 +21,14 @@
     side) costs {!Cost.build_weight} probe rows, every row of the partial
     result (the probe side) one, so the smaller side is built. A step
     whose probe stream (ordered as its start leaf) and joined leaf are
-    both stored in an order that follows the join keys is costed as the
-    merge join [Order_plan] will certify for it ({!Cost.merge_step},
-    symmetric in its sides). Unique-build
+    both stored in an order that follows the join keys — the one
+    arrangement walk {!Engine.Exec.arrange_for_merge} over the leaves'
+    verified stored orders ([~database]'s {!Engine.Database.order}) —
+    is costed as a merge join ({!Cost.merge_step}, symmetric in its
+    sides) and issued as one: this module is the only authority for
+    [js_merge]. The engine re-runs the walk on verified operator orders
+    before acting, so a stale flag degrades to a hash join, never to a
+    wrong answer. Unique-build
     certificates feed the cost model — equality on a candidate key caps a
     step's output cardinality at the outer side instead of applying the
     blanket 0.1 selectivity — so key-covering joins are ordered first.
@@ -52,9 +57,9 @@ type step = {
   equis : int;  (** cross-leaf equality edges consumed by this step *)
   unique_build : bool;
   merge : bool;
-      (** costed as a merge join: the stored orders of the start leaf and
-          of [leaf] follow the step's join keys. Only an estimate —
-          [Order_plan] certifies merge joins *)
+      (** costed as, and certified for, a merge join ([js_merge]): the
+          stored orders of the start leaf and of [leaf] follow the step's
+          join keys *)
   cert_spec : Sql.Ast.query_spec option;
       (** the synthetic DISTINCT spec whose Algorithm 1 YES certifies
           [unique_build]; [Some _] iff [unique_build] *)
@@ -67,7 +72,8 @@ type step = {
 
 type choice = {
   impl : Engine.Exec.join_impl;
-      (** [Planned_join] when a plan was produced, [Hash_join] otherwise *)
+      (** [Planned_join] when a plan was produced, [Hash_join] otherwise;
+          its steps carry each step's [unique_build] and [merge] flags *)
   name : string;
       (** ["cost-ordered"], ["from-order"] (analysis failed), or ["none"]
           (nothing to plan) *)
@@ -86,15 +92,15 @@ type choice = {
       (** steps with a unique-build certificate. The narration counts
           only those not costed as merge joins: a merge join builds
           nothing *)
+  merge_joins : int;  (** steps certified for merge execution *)
 }
 
 (** Is there a join to plan? True only for a [Spec] with at least two
     FROM items. *)
 val applicable : Sql.Ast.query -> bool
 
-(** Pick a join order. Table cardinalities come from [~database] row
-    counts when an instance is at hand, else from [~stats], else default
-    to 1000 rows per table; stored orders come only from [~database].
+(** Pick a join order. Table cardinalities come from {!Cost.source};
+    stored orders, and so merge joins, come only from [~database].
     Never raises: unresolvable references degrade to FROM-order hash joins
     with no unique builds. *)
 val choose :

@@ -541,6 +541,52 @@ let prop_equality_closure_agrees =
         ~closure:(fun ~trace v -> Logic.Equalities.closure ~trace v eqs)
         ~narration ~reference:(sweep_closure pairs start) start)
 
+(* ---- two-valued logic by translation ---- *)
+
+(* The translation, run under three-valued logic, selects the rows the
+   original selects under the engine's two-valued evaluator, on
+   generated cases whose instances hold NULLs. *)
+let prop_two_valued_translation =
+  QCheck2.Test.make
+    ~name:"2VL translation under 3VL is bag-equal to the original under 2VL"
+    ~count:300 QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let c = Difftest.Case.generate ~rng () in
+      let run logic db hosts q =
+        let config = { (Engine.Exec.default_config ()) with Engine.Exec.logic } in
+        Engine.Exec.run_query ~config db ~hosts q
+      in
+      let translated = Logic.Two_valued.query c.Difftest.Case.query in
+      List.for_all
+        (fun (i, inst) ->
+          let db = Difftest.Case.database ~index:i c inst in
+          let hosts = inst.Difftest.Case.hosts in
+          Engine.Relation.equal_bags
+            (run Sqlval.Logic_mode.L2 db hosts c.Difftest.Case.query)
+            (run Sqlval.Logic_mode.L3 db hosts translated))
+        (List.mapi (fun i inst -> (i, inst)) c.Difftest.Case.instances))
+
+(* NOT pushes through classically; each negated atom admits its NULL
+   operands, and a NULL in an IN list matches nothing. *)
+let test_two_valued_shapes () =
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check string) src want
+        (Sql.Pretty.pred (Logic.Two_valued.pred (Sql.Parser.parse_pred src))))
+    [ ("NOT (T.K <> 5)", "T.K = 5 OR T.K IS NULL");
+      ( "NOT (T.K <> 5 OR T.V <> 1)",
+        "(T.K = 5 OR T.K IS NULL) AND (T.V = 1 OR T.V IS NULL)" );
+      ( "NOT (T.K BETWEEN 1 AND :H)",
+        "((T.K < 1 OR T.K > :H) OR T.K IS NULL) OR :H IS NULL" );
+      ("NOT (T.K IN (1, NULL))", "T.K <> 1 OR T.K IS NULL");
+      ("NOT (T.K IN (NULL))", "TRUE");
+      ("NOT (T.K = NULL)", "TRUE");
+      ("NOT (T.K IS NULL AND T.V < 2)", "T.K IS NOT NULL OR (T.V >= 2 OR T.V IS NULL)");
+      ( "NOT EXISTS (SELECT * FROM S WHERE NOT (S.A = T.K))",
+        "NOT EXISTS (SELECT ALL * FROM S WHERE (S.A <> T.K OR S.A IS NULL) \
+         OR T.K IS NULL)" ) ]
+
 let () =
   Alcotest.run "logic"
     [
@@ -583,4 +629,7 @@ let () =
           Alcotest.test_case "equivalence classes" `Quick test_classes;
           Alcotest.test_case "split" `Quick test_split;
         ] );
+      ( "two-valued",
+        [ Alcotest.test_case "translated shapes" `Quick test_two_valued_shapes;
+          QCheck_alcotest.to_alcotest prop_two_valued_translation ] );
     ]

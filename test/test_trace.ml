@@ -84,13 +84,14 @@ let test_planner_theorem1_once () =
 
 (* The join section names the side built and the side probed, each with
    its estimated rows. The step runs as a merge join, which builds
-   nothing, so no unique build is counted or cited. *)
+   nothing, so no unique build is counted or cited; the merge join is. *)
 let expected_join_section =
-  {|* [CHOSEN] planner.join -- greedy key-aware order P -> S: probe P (100 rows), build S (200 rows); 0 unique build(s), est cost 1450 vs FROM-order 3350
+  {|* [CHOSEN] planner.join -- greedy key-aware order P -> S: probe P (100 rows), build S (200 rows); 0 unique build(s), 1 merge join(s), est cost 1450 vs FROM-order 3350
     < query = SELECT ALL S.SNAME, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND P.COLOR = 'RED'
     > strategy = cost-ordered
     > order = P -> S
     > unique-builds = 0
+    > merge-joins = 1
     > est-cost = 1450
     > from-order-cost = 3350
     > stats = database
