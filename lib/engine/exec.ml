@@ -33,6 +33,19 @@ type join_impl =
   | Hash_join
   | Planned_join of join_order
 
+let withdraw ?(unique_builds = false) ?(merges = false) = function
+  | Planned_join jo ->
+    Planned_join
+      { jo with
+        jo_steps =
+          List.map
+            (fun st ->
+              { st with
+                js_unique_build = st.js_unique_build && not unique_builds;
+                js_merge = st.js_merge && not merges })
+            jo.jo_steps }
+  | impl -> impl
+
 type config = {
   distinct_impl : distinct_impl;
   join_impl : join_impl;

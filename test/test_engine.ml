@@ -875,7 +875,21 @@ let test_planned_unique_build_execution () =
   Alcotest.(check int) "every probe early-exits" 1000
     cfg.Exec.stats.Stats.probe_early_exits;
   Alcotest.(check bool) "strategy recorded" true
-    (cfg.Exec.stats.Stats.join_strategy = "unique-hash-join,unique-hash-join")
+    (cfg.Exec.stats.Stats.join_strategy = "unique-hash-join,unique-hash-join");
+  (* withdrawn certificates: the same join order, bucket builds, the same
+     probe-major row order *)
+  let withdrawn =
+    { (Exec.default_config ()) with
+      Exec.join_impl = Exec.withdraw ~unique_builds:true ~merges:true impl }
+  in
+  let r' = Exec.run_query ~config:withdrawn db ~hosts:[] q in
+  Alcotest.(check bool) "withdrawn plan keeps the row order" true
+    (r.Relation.rows = r'.Relation.rows);
+  Alcotest.(check int) "withdrawn plan grants no unique builds" 0
+    withdrawn.Exec.stats.Stats.unique_builds;
+  Alcotest.(check bool) "withdraw leaves other impls alone" true
+    (Exec.withdraw ~unique_builds:true ~merges:true Exec.Hash_join
+     = Exec.Hash_join)
 
 (* The streaming joins and both EXISTS strategies bag-equal the
    nested-loop baseline on a three-table join and on a correlated EXISTS
